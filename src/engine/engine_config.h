@@ -27,9 +27,7 @@ const char* ParadigmName(Paradigm p);
 /// Knobs of the native multithreaded runtime (exec/native_runtime.h); only
 /// read when `EngineConfig::backend == BackendKind::kNative`. Grouped by
 /// concern: the data path (batching/back-pressure), the balance policy
-/// (resource-control plane measurement loop) and thread placement. The old
-/// flat field names remain as reference aliases for one release — new code
-/// should write `native.data_path.batch_tuples`, not `native.batch_tuples`.
+/// (resource-control plane measurement loop) and thread placement.
 struct NativeOptions {
   struct DataPathOptions {
     /// Tuples accumulated per cross-thread micro-batch (the native analog
@@ -86,39 +84,7 @@ struct NativeOptions {
   DataPathOptions data_path;
   BalanceOptions balance;
   PinningOptions pinning;
-
-  // ---- Deprecated flat aliases (one release; see the nested fields) ----
-  int& batch_tuples = data_path.batch_tuples;
-  int& channel_capacity_batches = data_path.channel_capacity_batches;
-  SimDuration& balance_period_ns = balance.period_ns;
-  double& balance_theta = balance.theta;
-  int& balance_max_moves = balance.max_moves;
-
-  // The reference aliases make the implicit copy operations wrong (a
-  // copied object would alias the original's nested fields), so copying is
-  // spelled out: copy the values, let each new object's NSDMIs rebind its
-  // own references.
-  NativeOptions() = default;
-  NativeOptions(const NativeOptions& o)
-      : workers_per_operator(o.workers_per_operator),
-        max_workers_per_operator(o.max_workers_per_operator),
-        migration_copy_bytes_per_sec(o.migration_copy_bytes_per_sec),
-        data_path(o.data_path),
-        balance(o.balance),
-        pinning(o.pinning) {}
-  NativeOptions& operator=(const NativeOptions& o) {
-    workers_per_operator = o.workers_per_operator;
-    max_workers_per_operator = o.max_workers_per_operator;
-    migration_copy_bytes_per_sec = o.migration_copy_bytes_per_sec;
-    data_path = o.data_path;
-    balance = o.balance;
-    pinning = o.pinning;
-    return *this;
-  }
 };
-
-/// Deprecated name of NativeOptions (pre-PR-9), kept for one release.
-using NativeRuntimeOptions = NativeOptions;
 
 struct EngineConfig {
   Paradigm paradigm = Paradigm::kElastic;

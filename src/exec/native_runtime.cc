@@ -170,7 +170,7 @@ Status NativeRuntime::Setup() {
       auto eo = std::make_unique<ElasticOp>();
       const int num_shards = part->num_shards();
       eo->owner = std::vector<std::atomic<int32_t>>(num_shards);
-      eo->held = std::vector<std::atomic<uint8_t>>(num_shards);
+      eo->held = std::vector<std::atomic<int32_t>>(num_shards);
       eo->processed = std::vector<std::atomic<int64_t>>(num_shards);
       eo->busy_ticks = std::vector<std::atomic<int64_t>>(num_shards);
       eo->balance_prev.assign(num_shards, 0);
@@ -479,8 +479,10 @@ void NativeRuntime::SourceLoop(Source* s) {
                              s->rng.NextExponential(1e9 / rate));
       if (!SourceWaitUntil(s, backend_->now() + gap)) break;
     }
-    Tuple t = src.factory(&s->rng, backend_->now());
-    t.created_at = backend_->now();
+    // One clock read per tuple: the factory's `now` is the creation time.
+    const SimTime now = backend_->now();
+    Tuple t = src.factory(&s->rng, now);
+    t.created_at = now;
     ++s->generated;
     s->pub_generated.store(s->generated, std::memory_order_relaxed);
     bool ok = true;
@@ -505,34 +507,45 @@ void NativeRuntime::CheckArrivalOrder(Worker* w, ShardId shard,
   last = t.arrival_seq;
 }
 
+NativeRuntime::TupleClock NativeRuntime::StartTupleRun() const {
+  TupleClock clock;
+  clock.anchor_ns = backend_->now();
+  clock.anchor_tick = CycleClock::Now();
+  clock.ns_per_tick = CycleClock::NsPerTick();
+  clock.open_tick = clock.anchor_tick;
+  return clock;
+}
+
 void NativeRuntime::ProcessTuple(Worker* w, const OperatorSpec& spec,
-                                 const Tuple& t) {
+                                 const Tuple& t, TupleClock* clock) {
   const ShardId shard = partitions_[w->op]->ShardOf(t.key);
   ElasticOp* eo = nullptr;
   if (elastic_) {
     eo = elastic_ops_[w->op].get();
-    // Hold only as the *destination* of an in-flight move (held raised and
-    // the routing already points here). The old owner keeps processing the
-    // shard's pre-flip backlog while held is raised — that drain is what
-    // the labeling barrier waits for.
-    if (eo->held[shard].load(std::memory_order_acquire) != 0 &&
-        eo->owner[shard].load(std::memory_order_relaxed) ==
-            static_cast<int32_t>(w->index)) {
+    // Hold only as the *destination* of an in-flight move: `held` names
+    // it. The old owner keeps processing the shard's pre-flip backlog
+    // while held is raised — that drain is what the labeling barrier
+    // waits for.
+    if (eo->held[shard].load(std::memory_order_acquire) == w->index + 1) {
       w->hold[shard].push_back(t);
+      clock->open_tick = 0;  // Holding is not load: the next tuple reopens.
       return;
     }
     eo->processed[shard].fetch_add(1, std::memory_order_relaxed);
   }
-  // Wall-busy window around the operator logic only: channel waits and
-  // control-plane work are idle time, not load (the balancer's signal
-  // must reflect what the shard costs, not what the thread endured).
-  const uint64_t busy_start = CycleClock::Now();
+  // Wall-busy window: from the previous tuple's closing tick (or the run's
+  // anchor) to the tick after this tuple's logic, so it covers the
+  // per-tuple bookkeeping with the logic. Channel waits and control-plane
+  // work fall between runs and stay idle time, not load (the balancer's
+  // signal must reflect what the shard costs, not what the thread endured).
+  if (clock->open_tick == 0) clock->open_tick = CycleClock::Now();
   if (validate_) CheckArrivalOrder(w, shard, t);
   NativeEmitContext emit(this, w, t.created_at);
   ApplyOperatorLogic(*topology_, spec, w->op, t, &w->store, shard, &emit,
                      &w->rng);
-  const int64_t ticks =
-      static_cast<int64_t>(CycleClock::Now() - busy_start);
+  const uint64_t done = CycleClock::Now();
+  const int64_t ticks = static_cast<int64_t>(done - clock->open_tick);
+  clock->open_tick = done;
   w->busy_ticks += ticks;
   if (eo != nullptr) {
     eo->busy_ticks[shard].fetch_add(ticks, std::memory_order_relaxed);
@@ -540,7 +553,7 @@ void NativeRuntime::ProcessTuple(Worker* w, const OperatorSpec& spec,
   ++w->processed;
   if (w->is_sink) {
     ++w->sink_tuples;
-    w->latency.Record(backend_->now() - t.created_at);
+    w->latency.Record(clock->ToTime(done) - t.created_at);
   }
 }
 
@@ -581,7 +594,8 @@ void NativeRuntime::WorkerLoop(Worker* w) {
       OnLabel(w, label_id);
       continue;
     }
-    for (const Tuple& t : batch->tuples) ProcessTuple(w, spec, t);
+    TupleClock clock = StartTupleRun();
+    for (const Tuple& t : batch->tuples) ProcessTuple(w, spec, t, &clock);
     pool_.Release(batch);
     PublishWorkerCounters(w);
   }
@@ -1052,12 +1066,15 @@ void NativeRuntime::BeginLabeling(int64_t label_id) {
     if (it == migrations_.end()) return;
     Migration* m = it->second.get();
     ElasticOp* eo = elastic_ops_[m->op].get();
-    // The flip: raise held first (relaxed), then publish the new owner
-    // with release. Producers acquire-load the owner; the channel mutex
-    // then carries the edge to the destination, whose acquire-load of
-    // held therefore cannot miss it for any tuple routed post-flip.
+    // The flip: raise held to name the destination first (relaxed), then
+    // publish the new owner with release. Producers acquire-load the
+    // owner; the channel mutex then carries the edge to the destination,
+    // whose acquire-load of held therefore cannot miss it for any tuple
+    // routed post-flip. The old owner compares held against its own index,
+    // so reading it raised early (this may run on the driver thread while
+    // the old owner drains) never makes it hold.
     m->flip_at = backend_->now();
-    eo->held[m->shard].store(1, std::memory_order_relaxed);
+    eo->held[m->shard].store(m->to + 1, std::memory_order_relaxed);
     eo->owner[m->shard].store(m->to, std::memory_order_release);
     m->barrier_armed = barrier_.Arm(label_id, eo->open_producers);
     if (m->barrier_armed) {
@@ -1181,7 +1198,8 @@ void NativeRuntime::InstallMigratedShard(Worker* w, int64_t label_id) {
   // arrivals may interleave behind the replay in channel order.
   elastic_ops_[m->op]->held[m->shard].store(0, std::memory_order_release);
   const OperatorSpec& spec = topology_->spec(w->op);
-  for (const Tuple& t : replay) ProcessTuple(w, spec, t);
+  TupleClock clock = StartTupleRun();
+  for (const Tuple& t : replay) ProcessTuple(w, spec, t, &clock);
   PublishWorkerCounters(w);
   {
     std::lock_guard<std::mutex> lock(ctrl_mu_);

@@ -38,9 +38,9 @@
 //                     (native.migration_copy_bytes_per_sec) while the
 //                     worker keeps processing the shard; a DirtyTracker
 //                     records what changes meanwhile.
-//   3. kLabeling    — pre-copy done: `owner[shard]` flips to the
-//                     destination (release store) and `held[shard]` is
-//                     raised; a labeling command is published and every
+//   3. kLabeling    — pre-copy done: `held[shard]` is raised to name the
+//                     destination and `owner[shard]` flips to it (release
+//                     store); a labeling command is published and every
 //                     producer that feeds this operator pushes one label
 //                     marker into the *old* owner's channel, behind
 //                     everything it already routed there (the in-channel
@@ -59,25 +59,30 @@
 //                     stream — native_elastic_stress_test pins this down
 //                     under TSan.
 //
-// Memory-ordering contract of the routing flip: the publisher raises
-// `held` (relaxed) before flipping `owner` (release); producers load
-// `owner` (acquire) and the destination loads `held` (acquire) before
-// consulting `owner`. A producer that observes the new owner therefore
-// routes to a worker that is guaranteed to observe `held` for any tuple it
-// receives from that producer (the channel's internal mutex provides the
-// edge between producer and consumer), so the destination can never
-// process a post-flip tuple before the state arrives. The old owner keeps
-// processing the shard while `owner != my_index` tuples drain — the hold
-// test is `held && owner == my_index`, destination-only on purpose.
+// Memory-ordering contract of the routing flip: the publisher stores
+// `held = destination + 1` (relaxed) before flipping `owner` (release);
+// producers load `owner` (acquire) and every worker acquire-loads `held`
+// per tuple. A producer that observes the new owner therefore routes to a
+// worker that is guaranteed to observe `held` for any tuple it receives
+// from that producer (the channel's internal mutex provides the edge
+// between producer and consumer), so the destination can never process a
+// post-flip tuple before the state arrives. The hold test is
+// `held == my_index + 1`, destination-only by construction. The old owner
+// keeps processing the shard's pre-flip backlog while `held` is raised;
+// it must not consult `owner` there, because the flip may run on another
+// thread (the driver's timer wheel under paced copy) and the old owner
+// could read a raised `held` next to a not yet flipped `owner`.
 //
 // Resource-control plane (exec/telemetry.h + exec/worker_pool.h; the
 // runtime implements both and Engine binds them to the backend):
 //
 // * Measurement. Every worker accumulates *measured wall-busy* cycle-clock
-//   deltas around each tuple, thread-locally, and publishes them (plus
-//   processed/sink counts) to per-worker atomics at batch boundaries and to
-//   a per-shard atomic per tuple. SampleTelemetry() is therefore a
-//   lock-free-read snapshot that is live-safe and exact after
+//   deltas per tuple, thread-locally (see TupleClock: one CycleClock read
+//   per tuple closes that tuple's window and opens the next one's; channel
+//   waits and control-plane work fall outside every window), and publishes
+//   them (plus processed/sink counts) to per-worker atomics at batch
+//   boundaries and to a per-shard atomic per tuple. SampleTelemetry() is
+//   therefore a lock-free-read snapshot that is live-safe and exact after
 //   WaitDrained(). The balance tick feeds the per-shard busy deltas and
 //   per-worker measured speeds (EWMA of processed/busy, normalized to the
 //   fastest worker) into the capacity-aware balance::PlanMoves — a worker
@@ -294,8 +299,8 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
     int64_t processed = 0;
     int64_t sink_tuples = 0;
     int64_t order_violations = 0;
-    /// Measured wall-busy cycle ticks inside operator logic (thread-local;
-    /// see exec/telemetry.h CycleClock).
+    /// Measured wall-busy cycle ticks of processed tuples (thread-local;
+    /// see TupleClock and exec/telemetry.h CycleClock).
     int64_t busy_ticks = 0;
     /// Sink-side tuple latency (created_at -> sink), merged into
     /// EngineMetrics after the thread joined.
@@ -346,7 +351,9 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
   /// under ctrl_mu_.
   struct ElasticOp {
     std::vector<std::atomic<int32_t>> owner;    // Shard -> worker index.
-    std::vector<std::atomic<uint8_t>> held;     // Shard state in flight.
+    /// Shard state in flight: destination worker index + 1 while a move's
+    /// state travels, 0 otherwise.
+    std::vector<std::atomic<int32_t>> held;
     std::vector<std::atomic<int64_t>> processed;   // Per-shard tuple counts.
     std::vector<std::atomic<int64_t>> busy_ticks;  // Per-shard wall-busy.
     // Driver-local balance snapshots (sized to the slot reservation).
@@ -401,9 +408,33 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
     int64_t label_id = -1;
   };
 
+  /// A worker's clock across one run of tuples (a batch or a replay): one
+  /// backend_->now()/CycleClock anchor pair read when the run starts, and
+  /// the tick that opened the current tuple's busy window. The tick read
+  /// after a tuple's logic closes its window and opens the next one's, so
+  /// the windows cover the per-tuple bookkeeping too; 0 = none open (after
+  /// a hold), and the next tuple opens with a fresh read. Sink completion
+  /// times derive from the closing tick through the anchor, so a tuple
+  /// costs one clock read on the worker side.
+  struct TupleClock {
+    SimTime anchor_ns = 0;
+    uint64_t anchor_tick = 0;
+    double ns_per_tick = 0.0;
+    uint64_t open_tick = 0;
+    /// Backend time of a tick of this run.
+    SimTime ToTime(uint64_t tick) const {
+      return anchor_ns + static_cast<SimTime>(
+                             static_cast<double>(tick - anchor_tick) *
+                             ns_per_tick);
+    }
+  };
+  /// Reads the anchor pair; the first tuple's window opens at it.
+  TupleClock StartTupleRun() const;
+
   void WorkerLoop(Worker* w);
   void SourceLoop(Source* s);
-  void ProcessTuple(Worker* w, const OperatorSpec& spec, const Tuple& t);
+  void ProcessTuple(Worker* w, const OperatorSpec& spec, const Tuple& t,
+                    TupleClock* clock);
   void CheckArrivalOrder(Worker* w, ShardId shard, const Tuple& t);
   /// Relaxed stores of the worker's plain counters into its pub_* atomics
   /// (called at batch boundaries and after held-tuple replays).

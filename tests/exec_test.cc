@@ -1,15 +1,20 @@
 // Unit tests for the execution-backend seam (src/exec/): the native
 // backend's timer semantics (which must mirror the simulator's), the bounded
-// MPSC channel, the batch pool, and the thread-safety of the EventFn
-// heap-allocation counter. The sim-vs-native dataflow equivalence lives in
+// MPSC channel and its spin-then-park handoff, the batch pool, the native
+// telemetry contract, and the thread-safety of the EventFn heap-allocation
+// counter. The sim-vs-native dataflow equivalence lives in
 // native_equivalence_test.cc.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <chrono>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "elasticutor/elasticutor.h"
 #include "engine/engine_config.h"
 #include "exec/batch_pool.h"
 #include "exec/cpu_affinity.h"
@@ -233,6 +238,160 @@ TEST(MpscChannelTest, AbortUnblocksFullChannelProducer) {
   ch.Abort();
   producer.join();
   EXPECT_FALSE(push_result.load());  // Aborted push reports failure.
+}
+
+// Spins until `d` of steady-clock time passed; returns the time spent.
+int64_t SpinFor(std::chrono::nanoseconds d) {
+  const auto entry = std::chrono::steady_clock::now();
+  auto now = entry;
+  while (now - entry < d) now = std::chrono::steady_clock::now();
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(now - entry)
+      .count();
+}
+
+// Spin-then-park handoff. The spinning cases use a spin bound far longer
+// than any wait below, so "the consumer is still spinning" holds
+// deterministically; the parked cases use a zero bound and wait for the
+// park to be counted.
+constexpr std::chrono::nanoseconds kLongSpin = std::chrono::seconds(30);
+
+// Blocks until `ch` counts `waits` consumer parks.
+void AwaitParks(const MpscChannel& ch, int64_t waits) {
+  while (ch.pop_waits() < waits) std::this_thread::yield();
+}
+
+TEST(MpscChannelTest, BatchPushedDuringSpinIsTakenWithoutPark) {
+  MpscChannel ch(/*capacity=*/2, /*producers=*/1, kLongSpin);
+  TupleBatchStorage batch;
+  std::atomic<bool> entered{false};
+  TupleBatchStorage* popped = nullptr;
+  std::thread consumer([&] {
+    entered.store(true);
+    popped = ch.Pop();
+  });
+  while (!entered.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  const auto pushed = std::chrono::steady_clock::now();
+  ASSERT_TRUE(ch.Push(&batch));
+  consumer.join();
+  EXPECT_EQ(popped, &batch);
+  EXPECT_EQ(ch.pop_waits(), 0);  // Taken in the spin: no park, no wake.
+  EXPECT_LT(std::chrono::steady_clock::now() - pushed,
+            std::chrono::seconds(5));
+  ch.CloseProducer();
+}
+
+enum class Wake { kKick, kCloseProducer, kAbort };
+
+class ChannelWakeTest
+    : public ::testing::TestWithParam<std::tuple<Wake, bool>> {};
+
+TEST_P(ChannelWakeTest, WakesSpinningOrParkedConsumerPromptly) {
+  const auto [wake, parked] = GetParam();
+  MpscChannel ch(/*capacity=*/2, /*producers=*/1,
+                 parked ? std::chrono::nanoseconds(0) : kLongSpin);
+  std::atomic<bool> entered{false};
+  std::atomic<bool> returned{false};
+  TupleBatchStorage sentinel;
+  TupleBatchStorage* popped = &sentinel;
+  std::thread consumer([&] {
+    entered.store(true);
+    popped = ch.Pop();
+    returned.store(true);
+  });
+  while (!entered.load()) std::this_thread::yield();
+  if (parked) {
+    AwaitParks(ch, 1);
+  } else {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  switch (wake) {
+    case Wake::kKick: ch.Kick(); break;
+    case Wake::kCloseProducer: ch.CloseProducer(); break;
+    case Wake::kAbort: ch.Abort(); break;
+  }
+  // Promptly: well inside the spin bound, and without any other event.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!returned.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(returned.load()) << "consumer missed the wake-up";
+  if (!returned.load()) ch.Abort();  // Unstick the join.
+  consumer.join();
+  EXPECT_EQ(popped, nullptr);  // Nothing was pushed.
+  EXPECT_EQ(ch.pop_waits(), parked ? 1 : 0);
+  // A kick is a wake-up, not a shutdown; close and abort end the stream.
+  EXPECT_EQ(ch.exhausted(), wake != Wake::kKick);
+  if (wake == Wake::kKick) ch.CloseProducer();
+}
+
+std::string WakeCaseName(
+    const ::testing::TestParamInfo<ChannelWakeTest::ParamType>& info) {
+  static const char* const kNames[] = {"Kick", "CloseProducer", "Abort"};
+  return std::string(kNames[static_cast<int>(std::get<0>(info.param))]) +
+         (std::get<1>(info.param) ? "Parked" : "Spinning");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWakes, ChannelWakeTest,
+    ::testing::Combine(::testing::Values(Wake::kKick, Wake::kCloseProducer,
+                                         Wake::kAbort),
+                       ::testing::Bool()),
+    WakeCaseName);
+
+TEST(MpscChannelTest, SpinToParkTransitionLosesNoWakeUp) {
+  // Producers push after busy pauses drawn around the spin bound, so the
+  // consumer keeps crossing from spinning to parked while batches land —
+  // the window a lost wake-up hides in. A lost wake-up strands the
+  // consumer on a non-empty ring; the watchdog turns that into a failure
+  // instead of a hang. Under TSan this is also the race check of the
+  // spin's lock-free poll.
+  constexpr int kProducers = 3;
+  constexpr int kPerProducer = 20000;
+  constexpr auto kSpin = std::chrono::microseconds(2);
+  MpscChannel ch(/*capacity=*/4, kProducers, kSpin);
+  std::vector<TupleBatchStorage> storage(kProducers * kPerProducer);
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      uint64_t x = 0x9e3779b97f4a7c15ull * static_cast<uint64_t>(p + 1);
+      for (int i = 0; i < kPerProducer; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        // 0 .. 2x spin, in ns steps.
+        SpinFor(std::chrono::nanoseconds(x % (2 * kSpin.count() * 1000)));
+        EXPECT_TRUE(ch.Push(&storage[p * kPerProducer + i]));
+      }
+      ch.CloseProducer();
+    });
+  }
+  std::atomic<bool> done{false};
+  std::atomic<int> consumed{0};
+  std::thread consumer([&] {
+    for (;;) {
+      if (ch.Pop() != nullptr) {
+        consumed.fetch_add(1);
+      } else if (ch.exhausted()) {
+        break;
+      }
+    }
+    done.store(true);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!done.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(done.load()) << "consumer stranded after " << consumed.load()
+                           << " batches (lost wake-up)";
+  if (!done.load()) ch.Abort();
+  for (auto& t : producers) t.join();
+  consumer.join();
+  EXPECT_EQ(consumed.load(), kProducers * kPerProducer);
+  EXPECT_EQ(ch.batches_pushed(), kProducers * kPerProducer);
+  EXPECT_GT(ch.pop_waits(), 0);  // The park side was exercised too.
 }
 
 // ---------------------------------------------------------------------------
@@ -471,49 +630,6 @@ TEST(MpscChannelTest, AddProducerKeepsChannelOpenAcrossOriginalClose) {
   EXPECT_TRUE(channel.exhausted());
 }
 
-TEST(NativeOptionsTest, DeprecatedFlatAliasesReadAndWriteNestedFields) {
-  NativeOptions options;
-  options.batch_tuples = 7;                  // Old name...
-  EXPECT_EQ(options.data_path.batch_tuples, 7);  // ...new storage.
-  options.data_path.channel_capacity_batches = 9;
-  EXPECT_EQ(options.channel_capacity_batches, 9);
-  options.balance_period_ns = Millis(3);
-  EXPECT_EQ(options.balance.period_ns, Millis(3));
-  options.balance.theta = 1.5;
-  EXPECT_DOUBLE_EQ(options.balance_theta, 1.5);
-  options.balance_max_moves = 5;
-  EXPECT_EQ(options.balance.max_moves, 5);
-  // The deprecated type name still compiles.
-  NativeRuntimeOptions legacy;
-  EXPECT_EQ(legacy.data_path.batch_tuples, 64);
-}
-
-TEST(NativeOptionsTest, CopiesAreIndependentDespiteReferenceAliases) {
-  NativeOptions a;
-  a.batch_tuples = 11;
-  a.balance.theta = 2.0;
-  NativeOptions b = a;  // Copy ctor must NOT alias a's nested fields.
-  b.batch_tuples = 13;
-  b.balance_theta = 3.0;
-  EXPECT_EQ(a.data_path.batch_tuples, 11);
-  EXPECT_EQ(b.data_path.batch_tuples, 13);
-  EXPECT_DOUBLE_EQ(a.balance.theta, 2.0);
-  EXPECT_DOUBLE_EQ(b.balance.theta, 3.0);
-  NativeOptions c;
-  c = a;  // Assignment likewise copies values, not bindings.
-  c.channel_capacity_batches = 5;
-  EXPECT_EQ(a.data_path.channel_capacity_batches, 64);
-  EXPECT_EQ(c.data_path.channel_capacity_batches, 5);
-  // EngineConfig (which embeds NativeOptions) stays copyable — benches copy
-  // a base config per row.
-  EngineConfig base;
-  base.native.batch_tuples = 21;
-  EngineConfig row = base;
-  row.native.batch_tuples = 22;
-  EXPECT_EQ(base.native.data_path.batch_tuples, 21);
-  EXPECT_EQ(row.native.data_path.batch_tuples, 22);
-}
-
 TEST(CycleClockTest, TicksAdvanceAndConvertToPlausibleNs) {
   const uint64_t t0 = exec::CycleClock::Now();
   // Busy-wait a hair so even a coarse fallback clock moves.
@@ -525,6 +641,141 @@ TEST(CycleClockTest, TicksAdvanceAndConvertToPlausibleNs) {
   const int64_t ns = exec::CycleClock::ToNs(static_cast<int64_t>(t1 - t0));
   EXPECT_GT(ns, 0);
   EXPECT_LT(ns, Seconds(10));  // A spin of 1e5 adds is nowhere near 10 s.
+}
+
+// ---------------------------------------------------------------------------
+// Native telemetry contract: what a worker's busy time and the runtime's
+// sink latency measure now that each costs one clock read per tuple.
+// ---------------------------------------------------------------------------
+
+// One source thread feeding one worker thread (the sink) of the micro
+// topology; tests wrap the source factory or replace the operator logic.
+MicroWorkload OneWorkerWorkload(int64_t max_tuples) {
+  MicroOptions options;
+  options.num_keys = 64;
+  options.generator_executors = 1;
+  options.calculator_executors = 1;
+  options.shards_per_executor = 4;
+  options.shard_state_bytes = 1024;
+  MicroWorkload workload = BuildMicroWorkload(options, /*seed=*/5).value();
+  workload.topology.mutable_spec(workload.generator).source.max_tuples =
+      max_tuples;
+  return workload;
+}
+
+EngineConfig OneWorkerConfig() {
+  EngineConfig config;
+  config.paradigm = Paradigm::kStatic;
+  config.backend = exec::BackendKind::kNative;
+  config.num_nodes = 1;
+  config.cores_per_node = 4;
+  config.native.workers_per_operator = 1;
+  config.native.data_path.batch_tuples = 64;
+  return config;
+}
+
+TEST(NativeTelemetryTest, IdleWorkerAccruesNoBusyTime) {
+  // One batch, then 100 ms with the source held at a gate, then a second
+  // batch. The idle wait counts nowhere: not while it lasts, and not on
+  // the next batch's first tuple (whose window must open at its own
+  // batch, not at the previous batch's last tick).
+  constexpr int kBatch = 64;
+  MicroWorkload workload = OneWorkerWorkload(2 * kBatch);
+  auto gate = std::make_shared<std::atomic<bool>>(false);
+  auto made = std::make_shared<std::atomic<int>>(0);
+  SourceSpec& source =
+      workload.topology.mutable_spec(workload.generator).source;
+  source.factory = [inner = source.factory, gate, made](Rng* rng,
+                                                        SimTime now) {
+    if (made->fetch_add(1) == kBatch) {
+      while (!gate->load()) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    }
+    return inner(rng, now);
+  };
+  Engine engine(workload.topology, OneWorkerConfig());
+  ASSERT_TRUE(engine.Setup().ok());
+  engine.Start();
+  while (engine.SampleTelemetry().total_processed < kBatch) {
+    engine.RunFor(Millis(1));
+  }
+  engine.RunFor(Millis(5));  // The worker publishes, then parks.
+  const int64_t busy_before = engine.SampleTelemetry().total_busy_ns;
+  engine.RunFor(Millis(100));
+  const int64_t busy_idle =
+      engine.SampleTelemetry().total_busy_ns - busy_before;
+  gate->store(true);
+  engine.RunToCompletion();
+  const exec::TelemetrySnapshot end = engine.SampleTelemetry();
+  EXPECT_EQ(end.total_processed, 2 * kBatch);
+  EXPECT_EQ(busy_idle, 0);
+  EXPECT_GT(end.total_busy_ns, busy_before);
+  EXPECT_LT(end.total_busy_ns - busy_before, Millis(20))
+      << "the second batch was charged for the idle wait";
+}
+
+TEST(NativeTelemetryTest, BatchBusyLiesBetweenLogicTimeAndWallSpan) {
+  // One batch of tuples whose logic spins 20 us each. The worker's busy
+  // windows tile the batch from its clock anchor to the last tuple's
+  // closing tick, so they cover every logic call (plus the per-tuple
+  // bookkeeping) and fit inside the run's wall span.
+  constexpr int kBatch = 64;
+  MicroWorkload workload = OneWorkerWorkload(kBatch);
+  auto logic_ns = std::make_shared<int64_t>(0);  // Worker thread only.
+  workload.topology.mutable_spec(workload.calculator).logic =
+      [logic_ns](const Tuple&, StateAccessor& state, EmitContext*) {
+        const auto entry = std::chrono::steady_clock::now();
+        ++*state.GetOrCreate<int64_t>();
+        SpinFor(std::chrono::microseconds(20));
+        *logic_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                         std::chrono::steady_clock::now() - entry)
+                         .count();
+      };
+  Engine engine(workload.topology, OneWorkerConfig());
+  ASSERT_TRUE(engine.Setup().ok());
+  const auto start = std::chrono::steady_clock::now();
+  engine.Start();
+  engine.RunToCompletion();
+  const int64_t wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  const exec::TelemetrySnapshot snap = engine.SampleTelemetry();
+  ASSERT_EQ(snap.total_processed, kBatch);
+  // 2% slack for the cycle counter's calibration against steady_clock.
+  EXPECT_GE(static_cast<double>(snap.total_busy_ns),
+            0.98 * static_cast<double>(*logic_ns));
+  EXPECT_LE(snap.total_busy_ns, wall_ns);
+}
+
+TEST(NativeTelemetryTest, AnchoredSinkLatencyMatchesSteadyClock) {
+  // The runtime's sink latency derives each tuple's completion time from
+  // the busy window's closing tick through the batch's now()/tick anchor.
+  // The logic reads the backend clock itself just before returning; the
+  // two latencies must agree to within a few us on average. Each tuple
+  // spins 2 us so a batch spans ~130 us: stamping every tuple with its
+  // batch's anchor time instead would be off by tens of us.
+  constexpr int kTuples = 20000;
+  MicroWorkload workload = OneWorkerWorkload(kTuples);
+  auto clock = std::make_shared<exec::ExecutionBackend*>(nullptr);
+  auto latency_sum = std::make_shared<int64_t>(0);  // Worker thread only.
+  workload.topology.mutable_spec(workload.calculator).logic =
+      [clock, latency_sum](const Tuple& t, StateAccessor& state,
+                           EmitContext*) {
+        ++*state.GetOrCreate<int64_t>();
+        SpinFor(std::chrono::microseconds(2));
+        *latency_sum += (*clock)->now() - t.created_at;
+      };
+  Engine engine(workload.topology, OneWorkerConfig());
+  *clock = engine.exec();
+  ASSERT_TRUE(engine.Setup().ok());
+  engine.Start();
+  engine.RunToCompletion();
+  const Histogram& latency = engine.LatencyHistogram();
+  ASSERT_EQ(latency.count(), kTuples);
+  const double logic_mean =
+      static_cast<double>(*latency_sum) / static_cast<double>(kTuples);
+  EXPECT_NEAR(latency.mean(), logic_mean, 3000.0);
 }
 
 TEST(CpuAffinityTest, DetectsAtLeastOneCpuAndGroupsPackages) {

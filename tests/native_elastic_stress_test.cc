@@ -9,7 +9,9 @@
 // or the hold/replay path shows up here first).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <random>
+#include <vector>
 
 #include "elasticutor/elasticutor.h"
 
@@ -113,6 +115,67 @@ TEST(NativeElasticStressTest, RandomizedMigrationSoakConservesEveryTuple) {
   // The schedule must have exercised the contended path too: with 4 moves
   // posted per round against 16 shards, same-shard collisions are certain.
   EXPECT_GT(rejected, 0);
+}
+
+TEST(NativeElasticStressTest, PacedRotationNeverHoldsOnTheOldOwner) {
+  // Rotation at protocol capacity under paced copy: for ~3 s the driver
+  // moves every shard to the next worker the moment its previous move
+  // flipped. With a copy rate set, the flip (BeginLabeling) runs on the
+  // driver thread when the last pre-copy chunk lands, while the old owner
+  // is still draining the shard's pre-flip backlog. The old owner may see
+  // `held` raised before it sees the new `owner`; its hold test must still
+  // never take it for the destination — a pre-flip tuple parked in its own
+  // hold buffer is replayed out of order when the shard comes back, or
+  // lost when it does not.
+  constexpr int kWorkers = 3;
+  MicroOptions options;
+  options.num_keys = 4096;
+  options.tuple_bytes = 64;
+  options.shard_state_bytes = 8 << 10;
+  options.generator_executors = 1;
+  options.calculator_executors = kWorkers;
+  options.shards_per_executor = 16;
+  options.mode = SourceSpec::Mode::kSaturation;
+  MicroWorkload workload = BuildMicroWorkload(options, /*seed=*/53).value();
+  workload.topology.mutable_spec(workload.generator).source.max_tuples = 0;
+  EngineConfig config;
+  config.paradigm = Paradigm::kElastic;
+  config.backend = exec::BackendKind::kNative;
+  config.num_nodes = 4;
+  config.cores_per_node = 4;
+  config.seed = 11;
+  config.validate_key_order = true;
+  config.native.workers_per_operator = kWorkers;
+  config.native.migration_copy_bytes_per_sec = 256e6;  // 32 us per shard.
+  Engine engine(workload.topology, config);
+  ASSERT_TRUE(engine.Setup().ok());
+  engine.Start();
+
+  exec::NativeRuntime* native = engine.native();
+  const OperatorId calc = workload.calculator;
+  const int shards = native->num_shards(calc);
+  std::vector<int> target(shards, -1);  // Destination of the last post.
+  const auto end = std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  while (std::chrono::steady_clock::now() < end) {
+    engine.RunFor(Micros(500));
+    for (ShardId s = 0; s < shards; ++s) {
+      const int owner = native->shard_owner(calc, s);
+      if (target[s] >= 0 && owner != target[s]) continue;  // Not flipped.
+      const int to = (owner + 1) % kWorkers;
+      // Rejected while the previous move is still installing; retried on
+      // the next round.
+      if (native->ReassignShard(calc, s, to).ok()) target[s] = to;
+    }
+  }
+  engine.StopSources();
+  engine.RunToCompletion();
+
+  const int64_t emitted = native->source_emitted();
+  EXPECT_GT(emitted, 0);
+  EXPECT_EQ(native->sink_count(), emitted);
+  EXPECT_EQ(engine.order_violations(), 0);
+  EXPECT_EQ(native->migrations_in_flight(), 0);
+  EXPECT_GE(native->reassignments_done(), 1000);
 }
 
 TEST(NativeElasticStressTest, WorkerScalingSoakConservesEveryTuple) {
