@@ -106,9 +106,9 @@ RowResult RunOne(int workers, int64_t tuples_per_source) {
   engine.RunToCompletion();
   auto wall_end = std::chrono::steady_clock::now();
 
-  exec::NativeRuntime* native = engine.native();
+  const exec::TelemetrySnapshot snap = engine.SampleTelemetry();
   RowResult r;
-  r.tuples = native->total_processed();
+  r.tuples = snap.total_processed;
   ELASTICUTOR_CHECK(r.tuples == kSources * tuples_per_source);
   r.wall_ms =
       std::chrono::duration<double, std::milli>(wall_end - wall_start)
@@ -116,10 +116,10 @@ RowResult RunOne(int workers, int64_t tuples_per_source) {
   r.wall_tps = r.wall_ms > 0.0
                    ? static_cast<double>(r.tuples) / (r.wall_ms / 1e3)
                    : 0.0;
-  r.allocs = native->batches_allocated();
-  r.push_blocks = native->push_blocks();
-  r.pop_waits = native->pop_waits();
-  r.batches_pushed = native->batches_pushed();
+  r.allocs = engine.native()->batches_allocated();
+  r.push_blocks = snap.push_blocks;
+  r.pop_waits = snap.pop_waits;
+  r.batches_pushed = snap.batches_pushed;
   return r;
 }
 
@@ -168,13 +168,14 @@ ElasticResult RunElastic(int64_t tuples_per_source) {
   engine.RunToCompletion();
   auto wall_end = std::chrono::steady_clock::now();
 
+  const exec::TelemetrySnapshot snap = engine.SampleTelemetry();
   ElasticResult r;
-  r.tuples = native->total_processed();
+  r.tuples = snap.total_processed;
   // Zero lost or duplicated tuples across every live move — the property
   // the labeling barrier exists to provide. (StopSources may cut the
   // budget short, so compare against what the sources actually emitted.)
-  ELASTICUTOR_CHECK(r.tuples == native->source_emitted());
-  ELASTICUTOR_CHECK(native->sink_count() == r.tuples);
+  ELASTICUTOR_CHECK(r.tuples == snap.source_emitted);
+  ELASTICUTOR_CHECK(snap.sink_count == r.tuples);
   ELASTICUTOR_CHECK(native->migrations_in_flight() == 0);
   const double wall_s =
       std::chrono::duration<double>(wall_end - wall_start).count();
@@ -281,10 +282,11 @@ SkewResult RunSkew(Paradigm paradigm, int64_t tuples_per_source) {
   engine.RunToCompletion();
   auto wall_end = std::chrono::steady_clock::now();
 
+  const exec::TelemetrySnapshot snap = engine.SampleTelemetry();
   SkewResult r;
-  r.tuples = native->total_processed();
+  r.tuples = snap.total_processed;
   ELASTICUTOR_CHECK(r.tuples == kSources * tuples_per_source);
-  ELASTICUTOR_CHECK(native->sink_count() == r.tuples);
+  ELASTICUTOR_CHECK(snap.sink_count == r.tuples);
   r.wall_ms =
       std::chrono::duration<double, std::milli>(wall_end - wall_start)
           .count();

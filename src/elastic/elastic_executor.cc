@@ -14,7 +14,6 @@ ElasticExecutor::ElasticExecutor(Runtime* rt, OperatorId op,
   ELASTICUTOR_CHECK(num_shards > 0);
   shard_task_.assign(num_shards, -1);
   shard_paused_.assign(num_shards, 0);
-  shard_in_transition_.assign(num_shards, 0);
   pause_buffers_.resize(num_shards);
   shard_cost_ns_.assign(num_shards, 0);
   shard_cost_prev_.assign(num_shards, 0);
@@ -48,13 +47,13 @@ Status ElasticExecutor::ProbeReassign(int local_shard, NodeId node) {
   if (local_shard < 0 || local_shard >= num_shards_) {
     return Status::InvalidArgument("shard out of range");
   }
-  if (shard_in_transition_[local_shard]) {
+  if (protocol_.InTransition(op_, local_shard)) {
     return Status::FailedPrecondition("shard reassignment in progress");
   }
   int from = shard_task_[local_shard];
   for (const auto& t : tasks_) {
     if (t && !t->draining && t->node == node && t->id != from) {
-      ReassignShard(local_shard, t->id, nullptr);
+      ReassignShard(local_shard, t->id);
       return Status::OK();
     }
   }
@@ -135,10 +134,9 @@ void ElasticExecutor::TaskStartNext(const TaskPtr& task) {
     // no tuple of the paused shard can be behind the label, so deferral
     // cannot reorder anything.
     if (task->pending.front().is_label()) {
-      int label_id = task->pending.front().label_id;
+      const int64_t label_id = task->pending.front().label_id;
       task->pending.pop_front();
-      rt_->exec()->After(
-          0, [this, task, label_id]() { OnLabel(task, label_id); });
+      rt_->exec()->After(0, [this, label_id]() { OnLabel(label_id); });
       continue;
     }
     if (task->outputs_outstanding >= rt_->config().task_output_credit) {
@@ -392,7 +390,7 @@ Status ElasticExecutor::RemoveCore(NodeId node, EventFn done) {
   // by task speed, so a slow surviving task is not handed a fair share).
   std::vector<int> shards;
   for (int s = 0; s < num_shards_; ++s) {
-    if (shard_task_[s] == victim->id && !shard_in_transition_[s]) {
+    if (shard_task_[s] == victim->id && !protocol_.InTransition(op_, s)) {
       shards.push_back(s);
     }
   }
@@ -418,17 +416,9 @@ Status ElasticExecutor::RemoveCore(NodeId node, EventFn done) {
     TryFinalizeRemoval(victim, std::move(done));
     return Status::OK();
   }
-  // EventFn is move-only; `done` fires once, after the LAST evacuation, so
-  // the per-move continuations share it (and the countdown) explicitly.
-  auto remaining = std::make_shared<int>(static_cast<int>(moves.size()));
-  auto shared_done = std::make_shared<EventFn>(std::move(done));
-  for (const auto& move : moves) {
-    ReassignShard(move.shard, move.to,
-                  [this, victim, remaining, shared_done]() {
-                    if (--*remaining > 0) return;
-                    TryFinalizeRemoval(victim, std::move(*shared_done));
-                  });
-  }
+  // Finalized once the last evacuation completes (FinishReassign).
+  victim->on_removed = std::move(done);
+  for (const auto& move : moves) ReassignShard(move.shard, move.to);
   return Status::OK();
 }
 
@@ -462,122 +452,108 @@ void ElasticExecutor::TryFinalizeRemoval(const TaskPtr& victim, EventFn done) {
 // Consistent shard reassignment (§3.3).
 // ---------------------------------------------------------------------------
 
-void ElasticExecutor::ReassignShard(int local_shard, int to_task,
-                                    EventFn done) {
-  ELASTICUTOR_CHECK(!shard_in_transition_[local_shard]);
+void ElasticExecutor::ReassignShard(int local_shard, int to_task) {
   int from_task = shard_task_.at(local_shard);
-  ELASTICUTOR_CHECK(from_task >= 0 && from_task != to_task);
   ELASTICUTOR_CHECK(tasks_.at(to_task) && !tasks_.at(to_task)->draining);
-
-  shard_in_transition_[local_shard] = 1;
-  ++reassigns_in_progress_;
-  int label_id = next_label_id_++;
-  Reassign rec;
-  rec.local_shard = local_shard;
-  rec.from_task = from_task;
-  rec.to_task = to_task;
-  rec.done = std::move(done);
-
   NodeId from_node = task(from_task)->node;
   NodeId to_node = task(to_task)->node;
   const bool migrate = backend_->NeedsMigration(from_node, to_node);
-  pending_reassigns_.emplace(label_id, std::move(rec));
+  const int64_t id =
+      protocol_.Request(op_, local_shard, from_task, to_task, migrate);
+  protocol_.Claim(id);
 
   if (!migrate) {
     // Intra-process state sharing / external store: no state moves — pause
     // and label immediately; the pause lasts only for the label drain.
-    PauseAndLabel(label_id);
+    PauseAndLabel(id);
     return;
   }
   // 1. Begin the migration. Under chunked-live the shard keeps processing
   // while its snapshot streams over; under sync-blob this completes
   // synchronously and the pause covers the whole transfer.
-  pending_reassigns_.at(label_id).migration = rt_->migration()->Begin(
+  MigrationEngine::Handle handle = rt_->migration()->Begin(
       backend_->store(from_node), global_shard(local_shard), from_node,
       to_node, backend_->local_copy_bytes_per_sec(),
-      [this, label_id]() { PauseAndLabel(label_id); });
+      [this, id]() { PauseAndLabel(id); });
+  protocol_.AttachHandle(id, std::move(handle));
 }
 
-void ElasticExecutor::PauseAndLabel(int label_id) {
-  auto it = pending_reassigns_.find(label_id);
-  ELASTICUTOR_CHECK(it != pending_reassigns_.end());
-  Reassign& rec = it->second;
-  shard_paused_[rec.local_shard] = 1;  // 2. Pause routing for the shard.
-  rec.pause_start = rt_->exec()->now();
-  SendLabel(task(rec.from_task), label_id);  // 3. Labeling tuple, FIFO path.
-}
-
-void ElasticExecutor::SendLabel(const TaskPtr& target, int label_id) {
+void ElasticExecutor::PauseAndLabel(int64_t id) {
+  // 2. Pause routing for the shard; 3. one labeling tuple, FIFO path.
+  const ReassignProtocol::Move& m =
+      protocol_.Flip(id, /*labels=*/1, rt_->exec()->now());
+  shard_paused_[m.shard] = 1;
+  const TaskPtr& target = task(m.from);
   if (target->node == home_node_) {
-    EnqueueToTask(target, QueueItem{Tuple{}, label_id});
+    EnqueueToTask(target, QueueItem{Tuple{}, id});
     return;
   }
   // The label must follow previously routed data tuples through the same
   // network channel (per-(src,dst) FIFO).
   rt_->net()->Send(home_node_, target->node, 64, Purpose::kRemoteTask,
-                   [this, target, label_id]() {
-                     EnqueueToTask(target, QueueItem{Tuple{}, label_id});
+                   [this, target, id]() {
+                     EnqueueToTask(target, QueueItem{Tuple{}, id});
                    });
 }
 
-void ElasticExecutor::OnLabel(const TaskPtr& from, int label_id) {
-  auto it = pending_reassigns_.find(label_id);
-  ELASTICUTOR_CHECK(it != pending_reassigns_.end());
-  Reassign& rec = it->second;
-  rec.sync_done = rt_->exec()->now();  // Pending tuples all processed.
-  (void)from;
-
-  if (!rec.migration) {
+void ElasticExecutor::OnLabel(int64_t id) {
+  // The task popped the label: its pending tuples of the shard are all
+  // processed.
+  ELASTICUTOR_CHECK(protocol_.OnLabel(id, rt_->exec()->now()));
+  const ReassignProtocol::Move* m =
+      protocol_.TryFinalize(id, /*source_quiescent=*/false);
+  ELASTICUTOR_CHECK(m != nullptr);
+  if (!m->moves_state) {
     // No state moves (intra-process sharing / external store): flip now.
-    FinishReassign(label_id, MigrationStats{});
+    FinishReassign(id, MigrationStats{});
     return;
   }
   // 4. Ship the remainder (whole blob for sync-blob, dirty delta for
   // chunked-live) and install the shard at the destination process.
-  NodeId to_node = task(rec.to_task)->node;
+  const MigrationEngine::Handle handle = m->handle;
+  NodeId to_node = task(m->to)->node;
   rt_->migration()->Finalize(
-      rec.migration, backend_->store(to_node),
-      [this, label_id](const MigrationStats& stats) {
-        FinishReassign(label_id, stats);
-      });
+      handle, backend_->store(to_node),
+      [this, id](const MigrationStats& stats) { FinishReassign(id, stats); });
 }
 
-void ElasticExecutor::FinishReassign(int label_id,
-                                     const MigrationStats& stats) {
-  auto it = pending_reassigns_.find(label_id);
-  ELASTICUTOR_CHECK(it != pending_reassigns_.end());
-  Reassign rec = std::move(it->second);
-  pending_reassigns_.erase(it);
+void ElasticExecutor::FinishReassign(int64_t id, const MigrationStats& stats) {
+  // The shard now lives at the destination: staged, installed and resumed
+  // in one step on this backend.
+  protocol_.Staged(id);
+  ELASTICUTOR_CHECK(protocol_.BeginInstall(id) != nullptr);
+  const ReassignProtocol::Move m = protocol_.Complete(id);
 
-  NodeId from_node = task(rec.from_task)->node;
-  NodeId to_node = task(rec.to_task)->node;
+  TaskPtr from = task(m.from);
+  NodeId to_node = task(m.to)->node;
 
   // 5. Update the shard->task map, then resume routing.
-  shard_task_[rec.local_shard] = rec.to_task;
-  shard_paused_[rec.local_shard] = 0;
-  shard_in_transition_[rec.local_shard] = 0;
-  auto& buffer = pause_buffers_[rec.local_shard];
+  shard_task_[m.shard] = m.to;
+  shard_paused_[m.shard] = 0;
+  auto& buffer = pause_buffers_[m.shard];
   while (!buffer.empty()) {
     Tuple t = buffer.front();
     buffer.pop_front();
     --total_queued_;  // RouteToTask/EnqueueToTask re-counts it.
-    RouteToTask(rec.local_shard, t);
+    RouteToTask(m.shard, t);
   }
 
   SimTime now = rt_->exec()->now();
   ElasticityOp op;
-  op.inter_node = from_node != to_node;
-  op.sync_ns = rec.sync_done - rec.pause_start;
+  op.inter_node = from->node != to_node;
+  op.sync_ns = m.drained_at - m.flip_at;
   op.precopy_ns = stats.precopy_ns;
-  op.migration_ns = now - rec.sync_done;
-  op.pause_ns = now - rec.pause_start;
+  op.migration_ns = now - m.drained_at;
+  op.pause_ns = now - m.flip_at;
   op.moved_bytes = stats.moved_bytes;
   op.delta_bytes = stats.delta_bytes;
   rt_->metrics()->OnElasticityOp(op);
 
-  ++reassignments_done_;
-  --reassigns_in_progress_;
-  if (rec.done) rec.done();
+  // Evacuation before exit: a draining task goes once no move references
+  // it, i.e. after its last evacuation.
+  if (from->draining && !protocol_.References(op_, m.from)) {
+    TryFinalizeRemoval(from, std::move(from->on_removed));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -598,7 +574,7 @@ void ElasticExecutor::RunBalanceRound() {
                      (1.0 - cfg.shard_load_alpha) * shard_load_[s];
   }
   RefreshTaskSpeeds();
-  if (reassigns_in_progress_ > 0 || removals_in_progress_ > 0) return;
+  if (transition_pending()) return;
   if (num_tasks() <= 1) return;
 
   // Balance on shrinkage-smoothed loads. With few arrivals per shard the
@@ -631,7 +607,7 @@ void ElasticExecutor::RunBalanceRound() {
   // the planner routed a shard through several intermediate slots.
   for (int s = 0; s < num_shards_; ++s) {
     if (assignment[s] != shard_task_[s]) {
-      ReassignShard(s, assignment[s], nullptr);
+      ReassignShard(s, assignment[s]);
     }
   }
 }

@@ -20,17 +20,18 @@
 //    destroyed and `done` runs (the scheduler releases the core).
 //  * Balance round — the intra-executor load balancer (§3.1).
 //
-// Consistent shard reassignment (§3.3), on top of the shared
-// MigrationEngine: when the backend requires a migration, the engine first
-// pre-copies the shard in chunks while the source task keeps processing
-// (under MigrationStrategy::kChunkedLive; a sync-blob baseline skips this).
-// Only then is routing for the shard paused (arrivals buffer at the
-// receiver) and a labeling tuple sent down the same FIFO path as data to the
-// source task; when the task pops it, all pending tuples of the shard have
-// been processed; the engine ships the dirty delta (or, for sync-blob, the
-// whole blob), the shard→task map is updated, and buffered tuples are
-// flushed to the destination task. Same-process moves migrate nothing
-// (intra-process state sharing — the backend decides).
+// Consistent shard reassignment (§3.3): this executor drives the
+// ReassignProtocol state machine (elastic/reassign_protocol.h) on top of the
+// shared MigrationEngine. When the backend requires a migration, the engine
+// first pre-copies the shard in chunks while the source task keeps
+// processing (under MigrationStrategy::kChunkedLive; a sync-blob baseline
+// skips this). The flip then pauses routing for the shard (arrivals buffer
+// at the receiver) and sends one labeling tuple down the same FIFO path as
+// data to the source task; when the task pops it, all pending tuples of the
+// shard have been processed; the engine ships the dirty delta (or, for
+// sync-blob, the whole blob), the shard→task map is updated, and buffered
+// tuples are flushed to the destination task. Same-process moves migrate
+// nothing (intra-process state sharing — the backend decides).
 #pragma once
 
 #include <deque>
@@ -40,6 +41,7 @@
 #include <vector>
 
 #include "elastic/load_balancer.h"
+#include "elastic/reassign_protocol.h"
 #include "engine/executor_base.h"
 #include "engine/runtime.h"
 #include "engine/single_task_executor.h"
@@ -94,7 +96,7 @@ class ElasticExecutor : public ExecutorBase {
   /// True while reassignments or task removals are in progress (the
   /// scheduler defers further changes).
   bool transition_pending() const {
-    return reassigns_in_progress_ > 0 || removals_in_progress_ > 0;
+    return protocol_.in_flight() > 0 || removals_in_progress_ > 0;
   }
 
   // ---- Balancing ----
@@ -126,16 +128,16 @@ class ElasticExecutor : public ExecutorBase {
 
   // ---- Introspection (tests/benches) ----
   int shards_on_task_count(NodeId node) const;
-  int64_t reassignments_done() const { return reassignments_done_; }
+  int64_t reassignments_done() const { return protocol_.completed(); }
   StateBackend* state_backend() { return backend_.get(); }
   int num_shards() const { return num_shards_; }
 
  private:
   /// One entry of a task's pending queue: a data tuple, or a labeling
-  /// marker (label_id >= 0) of the reassignment protocol.
+  /// marker (label_id >= 0, the move's ReassignProtocol id).
   struct QueueItem {
     Tuple tuple;
-    int label_id = -1;
+    int64_t label_id = -1;
     bool is_label() const { return label_id >= 0; }
   };
 
@@ -157,22 +159,14 @@ class ElasticExecutor : public ExecutorBase {
     int64_t work_prev_ns = 0;  // Snapshots at the last balance round.
     int64_t busy_prev_ns = 0;
     double speed = 1.0;        // EWMA of work/busy.
+    /// RemoveCore's continuation, run once the draining task is gone.
+    EventFn on_removed;
   };
   using TaskPtr = std::shared_ptr<Task>;
 
   struct EmitterEntry {
     Runtime::PendingEmit emit;
     TaskPtr task;  // Credit accounting + liveness.
-  };
-
-  struct Reassign {
-    int local_shard = -1;
-    int from_task = -1;
-    int to_task = -1;
-    SimTime pause_start = 0;  // Routing paused (pre-copy done).
-    SimTime sync_done = 0;    // Labeling tuple drained.
-    MigrationEngine::Handle migration;  // Null when no state moves.
-    EventFn done;
   };
 
   // Data path.
@@ -190,12 +184,11 @@ class ElasticExecutor : public ExecutorBase {
   /// credit to their tasks (resuming any that were credit-blocked).
   void PopEmitted(size_t count);
 
-  // Reassignment protocol.
-  void ReassignShard(int local_shard, int to_task, EventFn done);
-  void PauseAndLabel(int label_id);
-  void SendLabel(const TaskPtr& task, int label_id);
-  void OnLabel(const TaskPtr& task, int label_id);
-  void FinishReassign(int label_id, const MigrationStats& stats);
+  // Reassignment protocol driver (ReassignProtocol ids double as label ids).
+  void ReassignShard(int local_shard, int to_task);
+  void PauseAndLabel(int64_t id);
+  void OnLabel(int64_t id);
+  void FinishReassign(int64_t id, const MigrationStats& stats);
 
   // Task removal.
   void TryFinalizeRemoval(const TaskPtr& task, EventFn done);
@@ -216,11 +209,7 @@ class ElasticExecutor : public ExecutorBase {
   // Two-tier routing table (second tier; first tier is the operator
   // partition hash).
   std::vector<int> shard_task_;
-  std::vector<uint8_t> shard_paused_;         // Arrivals buffer (final phase).
-  std::vector<uint8_t> shard_in_transition_;  // Reassignment in flight
-                                              // (includes live pre-copy,
-                                              // during which routing stays
-                                              // open).
+  std::vector<uint8_t> shard_paused_;  // Arrivals buffer (flip to install).
   std::vector<std::deque<Tuple>> pause_buffers_;
 
   // Per-shard statistics for the balancer.
@@ -238,12 +227,10 @@ class ElasticExecutor : public ExecutorBase {
   std::vector<Runtime::PendingEmit> emitter_scratch_;
   bool emitter_flushing_ = false;
 
-  // Reassignments in flight.
-  std::unordered_map<int, Reassign> pending_reassigns_;
-  int next_label_id_ = 0;
-  int reassigns_in_progress_ = 0;
+  // Reassignments in flight (shards are local indices, workers task ids)
+  // and task removals.
+  ReassignProtocol protocol_;
   int removals_in_progress_ = 0;
-  int64_t reassignments_done_ = 0;
 
   int64_t total_queued_ = 0;
   int64_t last_balance_arrivals_ = 0;

@@ -23,7 +23,6 @@
 
 #include "cluster/cluster.h"
 #include "common/histogram.h"
-#include "common/logging.h"
 #include "common/random.h"
 #include "common/rate_meter.h"
 #include "common/status.h"
@@ -31,6 +30,7 @@
 #include "common/zipf.h"
 #include "elastic/elastic_executor.h"
 #include "elastic/load_balancer.h"
+#include "elastic/reassign_protocol.h"
 #include "engine/engine.h"
 #include "engine/engine_config.h"
 #include "engine/operator.h"

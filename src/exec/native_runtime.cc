@@ -337,10 +337,12 @@ void NativeRuntime::WaitDrained() {
   // Single-threaded from here: merge per-worker counters and sink-latency
   // histograms into the engine metrics (EngineMetrics itself is not
   // touched by running threads).
-  metrics_->MergeSinkCount(sink_count());
-  ForEachWorker([this](Worker* w) {
+  int64_t sinks = 0;
+  ForEachWorker([this, &sinks](Worker* w) {
+    sinks += w->sink_tuples;
     if (w->is_sink) metrics_->MergeLatency(w->latency);
   });
+  metrics_->MergeSinkCount(sinks);
 }
 
 bool NativeRuntime::EmitTo(Producer* p, ProducerPort* port, const Tuple& t) {
@@ -568,7 +570,7 @@ void NativeRuntime::WorkerLoop(Worker* w) {
   const OperatorSpec& spec = topology_->spec(w->op);
   for (;;) {
     if (elastic_) {
-      PollWorkerControl(w);
+      PollWorkerControl(w, /*exhausted=*/false);
       if (w->retiring.load(std::memory_order_relaxed) && RetireReady(w)) {
         // Evacuated and unreferenced: the channel provably holds nothing
         // the protocol still needs (every marker targets a migration that
@@ -659,38 +661,24 @@ void NativeRuntime::PollProducer(Producer* p) {
   for (auto& d : duties) PushLabel(d.port, d.from, d.label_id);
 }
 
-void NativeRuntime::PollWorkerControl(Worker* w) {
-  if (ctrl_version_.load(std::memory_order_acquire) == w->seen_version) {
+void NativeRuntime::PollWorkerControl(Worker* w, bool exhausted) {
+  if (!exhausted &&
+      ctrl_version_.load(std::memory_order_acquire) == w->seen_version) {
     return;
   }
   std::vector<LabelDuty> duties;
-  std::vector<int64_t> precopies;
-  std::vector<int64_t> drains;
-  std::vector<int64_t> installs;
+  ReassignProtocol::Duties moves;
   {
     std::lock_guard<std::mutex> lock(ctrl_mu_);
     SyncProducerPorts(w);
     CollectLabelDuties(w, &duties);
-    for (auto& [id, m] : migrations_) {
-      if (m->op != w->op) continue;
-      if (m->from == w->index && m->phase == MigPhase::kRequested) {
-        m->phase = MigPhase::kPrecopying;  // Claimed; nobody else starts it.
-        precopies.push_back(id);
-      } else if (m->from == w->index && m->phase == MigPhase::kDrained &&
-                 m->barrier_armed) {
-        // Unarmed drains wait for the epilogue: the channel backlog is the
-        // drain, and this worker is still consuming it.
-        drains.push_back(id);
-      } else if (m->to == w->index && m->phase == MigPhase::kReady) {
-        installs.push_back(id);
-      }
-    }
+    protocol_.CollectDuties(w->op, w->index, exhausted, &moves);
     w->seen_version = ctrl_version_.load(std::memory_order_relaxed);
   }
   for (auto& d : duties) PushLabel(d.port, d.from, d.label_id);
-  for (int64_t id : precopies) StartPrecopy(w, id);
-  for (int64_t id : drains) DrainComplete(w, id);
-  for (int64_t id : installs) InstallMigratedShard(w, id);
+  for (const auto& m : moves.precopy) StartPrecopy(w, m.id, m.shard, exhausted);
+  for (const auto& m : moves.finalize) DrainComplete(w, m.id, exhausted);
+  for (const auto& m : moves.install) InstallMigratedShard(w, m.id);
 }
 
 Status NativeRuntime::ReassignShard(OperatorId op, ShardId shard,
@@ -718,7 +706,7 @@ Status NativeRuntime::ReassignShard(OperatorId op, ShardId shard,
   {
     std::lock_guard<std::mutex> lock(ctrl_mu_);
     if (teardown_) return Status::FailedPrecondition("tearing down");
-    if (in_transition_.count({op, shard}) > 0) {
+    if (protocol_.InTransition(op, shard)) {
       return Status::FailedPrecondition("shard already in transition");
     }
     ElasticOp* eo = elastic_ops_[op].get();
@@ -740,18 +728,10 @@ Status NativeRuntime::ReassignShard(OperatorId op, ShardId shard,
       // hot) can run. The caller just lost the race with drain-down.
       return Status::FailedPrecondition("endpoint worker is draining");
     }
-    auto m = std::make_unique<Migration>();
-    label_id = next_label_id_++;
-    m->label_id = label_id;
-    m->op = op;
-    m->shard = shard;
-    m->from = from;
-    m->to = to_worker;
-    m->requested_at = backend_->now();
+    label_id = protocol_.Request(op, shard, from, to_worker,
+                                 /*moves_state=*/true);
     drive_inline = src->exited;
-    if (drive_inline) m->phase = MigPhase::kPrecopying;
-    in_transition_.insert({op, shard});
-    migrations_.emplace(label_id, std::move(m));
+    if (drive_inline) protocol_.Claim(label_id);
     ctrl_version_.fetch_add(1, std::memory_order_release);
   }
   ctrl_cv_.notify_all();
@@ -760,7 +740,7 @@ Status NativeRuntime::ReassignShard(OperatorId op, ShardId shard,
     // quiescent and its producers all closed, so the caller's thread can
     // run the source-side duties directly — the protocol degenerates to a
     // synchronous handoff (or a paced one driven by the timer wheel).
-    StartPrecopy(src, label_id);
+    StartPrecopy(src, label_id, shard, /*quiescent=*/true);
   } else {
     src->input->Kick();  // An idle owner must wake up to claim the move.
   }
@@ -962,7 +942,7 @@ bool NativeRuntime::PumpRetirement() {
         for (int s = 0; s < num_shards; ++s) {
           if (eo->owner[s].load(std::memory_order_relaxed) ==
                   victim->index &&
-              in_transition_.count({op, s}) == 0) {
+              !protocol_.InTransition(op, s)) {
             shards.push_back(s);
           }
         }
@@ -1015,22 +995,11 @@ bool NativeRuntime::RetireReady(Worker* w) {
       return false;
     }
   }
-  for (auto& [id, m] : migrations_) {
-    if (m->op == w->op && (m->from == w->index || m->to == w->index)) {
-      return false;
-    }
-  }
-  return true;
+  return !protocol_.References(w->op, w->index);
 }
 
-void NativeRuntime::StartPrecopy(Worker* w, int64_t label_id) {
-  ShardId shard = -1;
-  {
-    std::lock_guard<std::mutex> lock(ctrl_mu_);
-    auto it = migrations_.find(label_id);
-    if (it == migrations_.end()) return;
-    shard = it->second->shard;
-  }
+void NativeRuntime::StartPrecopy(Worker* w, int64_t label_id, ShardId shard,
+                                 bool quiescent) {
   // Same-process move: both "nodes" are 0, so the transfer cost model uses
   // the local copy rate (0 = free handoff, pre-copy completes
   // synchronously; >0 = chunks paced on the backend's timer wheel while
@@ -1039,33 +1008,27 @@ void NativeRuntime::StartPrecopy(Worker* w, int64_t label_id) {
       &w->store, shard, /*from=*/0, /*to=*/0,
       config_->state.migration.strategy,
       config_->native.migration_copy_bytes_per_sec,
-      [this, label_id] { BeginLabeling(label_id); });
-  bool finalize_now = false;
+      [this, op = w->op, label_id] { BeginLabeling(op, label_id); });
   {
     std::lock_guard<std::mutex> lock(ctrl_mu_);
-    auto it = migrations_.find(label_id);
-    if (it == migrations_.end()) return;
-    Migration* m = it->second.get();
-    m->handle = std::move(handle);
-    // BeginLabeling may have run synchronously inside Begin (free handoff)
-    // and found the drain already satisfied; it could not finalize without
-    // the handle, so the baton comes back here. An unarmed drain on a live
-    // worker is NOT satisfied yet — its channel backlog stands in for the
-    // barrier and the epilogue finalizes once that backlog is consumed.
-    finalize_now =
-        m->phase == MigPhase::kDrained && (m->barrier_armed || w->exited);
+    protocol_.AttachHandle(label_id, std::move(handle));
   }
-  if (finalize_now) DrainComplete(w, label_id);
+  // A free pre-copy flips inside Begin, before the handle landed: a drain
+  // already complete then finalizes here.
+  DrainComplete(w, label_id, quiescent);
 }
 
-void NativeRuntime::BeginLabeling(int64_t label_id) {
+void NativeRuntime::BeginLabeling(OperatorId op, int64_t label_id) {
   Worker* exited_src = nullptr;
   {
     std::lock_guard<std::mutex> lock(ctrl_mu_);
-    auto it = migrations_.find(label_id);
-    if (it == migrations_.end()) return;
-    Migration* m = it->second.get();
-    ElasticOp* eo = elastic_ops_[m->op].get();
+    ElasticOp* eo = elastic_ops_[op].get();
+    // Every open producer owes one marker. With none open the backlog is
+    // whatever already sits in the old owner's channel: if that thread
+    // exited the drain is vacuous and finalizes here; otherwise its
+    // epilogue finalizes once the channel is exhausted.
+    const ReassignProtocol::Move& m =
+        protocol_.Flip(label_id, eo->open_producers, backend_->now());
     // The flip: raise held to name the destination first (relaxed), then
     // publish the new owner with release. Producers acquire-load the
     // owner; the channel mutex then carries the edge to the destination,
@@ -1073,22 +1036,12 @@ void NativeRuntime::BeginLabeling(int64_t label_id) {
     // routed post-flip. The old owner compares held against its own index,
     // so reading it raised early (this may run on the driver thread while
     // the old owner drains) never makes it hold.
-    m->flip_at = backend_->now();
-    eo->held[m->shard].store(m->to + 1, std::memory_order_relaxed);
-    eo->owner[m->shard].store(m->to, std::memory_order_release);
-    m->barrier_armed = barrier_.Arm(label_id, eo->open_producers);
-    if (m->barrier_armed) {
-      m->phase = MigPhase::kLabeling;
-      label_cmds_.push_back({m->op, m->from, label_id});
-    } else {
-      // No open producers: the backlog is whatever already sits in the old
-      // owner's channel. If that thread exited the drain is vacuous and
-      // runs here; otherwise finalization waits for the worker's epilogue
-      // (channel exhausted), so the backlog is consumed before the shard
-      // is extracted.
-      m->phase = MigPhase::kDrained;
-      Worker* src = worker_at(m->op, m->from);
-      if (src->exited) exited_src = src;
+    eo->held[m.shard].store(m.to + 1, std::memory_order_relaxed);
+    eo->owner[m.shard].store(m.to, std::memory_order_release);
+    if (m.barrier_armed) {
+      label_cmds_.push_back({op, m.from, label_id});
+    } else if (worker_at(op, m.from)->exited) {
+      exited_src = worker_at(op, m.from);
     }
     ctrl_version_.fetch_add(1, std::memory_order_release);
   }
@@ -1099,65 +1052,58 @@ void NativeRuntime::BeginLabeling(int64_t label_id) {
   // this command was published are covered (they owe no duty for it —
   // their cmd_cursor starts past it — but the wake-up is harmless).
   ForEachWorker([](Worker* w) { w->input->Kick(); });
-  if (exited_src != nullptr) DrainComplete(exited_src, label_id);
+  if (exited_src != nullptr) {
+    DrainComplete(exited_src, label_id, /*quiescent=*/true);
+  }
 }
 
 void NativeRuntime::OnLabel(Worker* w, int64_t label_id) {
-  bool complete = false;
-  {
-    std::lock_guard<std::mutex> lock(ctrl_mu_);
-    complete = barrier_.OnLabel(label_id);
-    if (complete) {
-      auto it = migrations_.find(label_id);
-      if (it == migrations_.end()) return;
-      it->second->phase = MigPhase::kDrained;
-    }
-  }
-  if (complete) DrainComplete(w, label_id);
+  std::unique_lock<std::mutex> lock(ctrl_mu_);
+  const bool drained = protocol_.OnLabel(label_id, backend_->now());
+  lock.unlock();
+  if (drained) DrainComplete(w, label_id, /*quiescent=*/false);
 }
 
-void NativeRuntime::DrainComplete(Worker* w, int64_t label_id) {
+void NativeRuntime::DrainComplete(Worker* w, int64_t label_id,
+                                  bool quiescent) {
   MigrationEngine::Handle handle;
   ProcessStateStore* staging = nullptr;
+  bool on_worker_thread = false;
   {
     std::lock_guard<std::mutex> lock(ctrl_mu_);
-    auto it = migrations_.find(label_id);
-    if (it == migrations_.end()) return;
-    Migration* m = it->second.get();
-    if (m->phase != MigPhase::kDrained) return;  // Someone else finalized.
-    if (m->handle == nullptr) return;  // Begin still in flight; StartPrecopy
-                                       // re-drives once the handle lands.
-    m->phase = MigPhase::kFinalizing;
+    const ReassignProtocol::Move* m =
+        protocol_.TryFinalize(label_id, quiescent);
+    if (m == nullptr) return;  // Not yet (or someone else finalized).
+    Staging& st = staging_[label_id];
     if (validate_) {
       auto os = w->order_state.find(m->shard);
       if (os != w->order_state.end()) {
-        m->order_state = std::move(os->second);
+        st.order_state = std::move(os->second);
         w->order_state.erase(os);
       }
     }
     handle = m->handle;
-    staging = &m->staging;
+    staging = &st.store;
+    on_worker_thread = !w->exited;
   }
   // Hand pre-flip emissions downstream before the new owner starts
   // producing for the same keys — bounds how long they linger in partial
   // batches (per-channel FIFO still carries the ordering guarantee).
   FlushPorts(&w->ports);
-  migration_->Finalize(handle, staging,
-                       [this, label_id](const MigrationStats&) {
-                         MigrationReady(label_id);
-                       });
+  migration_->Finalize(
+      handle, staging,
+      [this, label_id, on_worker_thread](const MigrationStats&) {
+        MigrationReady(label_id, on_worker_thread);
+      });
 }
 
-void NativeRuntime::MigrationReady(int64_t label_id) {
+void NativeRuntime::MigrationReady(int64_t label_id, bool on_worker_thread) {
   Worker* exited_dst = nullptr;
   MpscChannel* dst_channel = nullptr;
   {
     std::lock_guard<std::mutex> lock(ctrl_mu_);
-    auto it = migrations_.find(label_id);
-    if (it == migrations_.end()) return;
-    Migration* m = it->second.get();
-    m->phase = MigPhase::kReady;
-    Worker* dst = worker_at(m->op, m->to);
+    const ReassignProtocol::Move& m = protocol_.Staged(label_id);
+    Worker* dst = worker_at(m.op, m.to);
     if (dst->exited) {
       exited_dst = dst;  // Quiescent: install from this thread.
     } else {
@@ -1167,84 +1113,77 @@ void NativeRuntime::MigrationReady(int64_t label_id) {
   }
   ctrl_cv_.notify_all();
   if (dst_channel != nullptr) dst_channel->Kick();
-  if (exited_dst != nullptr) InstallMigratedShard(exited_dst, label_id);
+  if (exited_dst == nullptr) return;
+  // An exited worker's store belongs to the driver thread, which may be
+  // moving another of its shards right now: a worker hands the install over.
+  EventFn install = [this, exited_dst, label_id] {
+    InstallMigratedShard(exited_dst, label_id);
+  };
+  if (on_worker_thread) {
+    backend_->After(0, std::move(install));
+  } else {
+    install();
+  }
 }
 
 void NativeRuntime::InstallMigratedShard(Worker* w, int64_t label_id) {
-  std::unique_ptr<Migration> m;
+  ShardId shard = -1;
+  int from = -1;
+  decltype(staging_)::node_type staged;
   {
     std::lock_guard<std::mutex> lock(ctrl_mu_);
-    auto it = migrations_.find(label_id);
-    if (it == migrations_.end() || it->second->phase != MigPhase::kReady) {
-      return;
-    }
-    m = std::move(it->second);
-    migrations_.erase(it);
+    const ReassignProtocol::Move* m = protocol_.BeginInstall(label_id);
+    if (m == nullptr) return;
+    shard = m->shard;
+    from = m->from;
+    staged = staging_.extract(label_id);
   }
-  Result<ShardState> state = m->staging.ExtractShard(m->shard);
+  Staging& st = staged.mapped();
+  Result<ShardState> state = st.store.ExtractShard(shard);
   ELASTICUTOR_CHECK_MSG(state.ok(), "migrated shard missing from staging");
   ELASTICUTOR_CHECK(
-      w->store.InstallShard(m->shard, std::move(state.value())).ok());
-  if (validate_ && !m->order_state.empty()) {
-    w->order_state[m->shard] = std::move(m->order_state);
+      w->store.InstallShard(shard, std::move(state.value())).ok());
+  if (validate_ && !st.order_state.empty()) {
+    w->order_state[shard] = std::move(st.order_state);
   }
   std::vector<Tuple> replay;
-  auto hold = w->hold.find(m->shard);
+  auto hold = w->hold.find(shard);
   if (hold != w->hold.end()) {
     replay = std::move(hold->second);
     w->hold.erase(hold);
   }
   // Lower held before replaying: ProcessTuple must not re-hold, and new
   // arrivals may interleave behind the replay in channel order.
-  elastic_ops_[m->op]->held[m->shard].store(0, std::memory_order_release);
+  elastic_ops_[w->op]->held[shard].store(0, std::memory_order_release);
   const OperatorSpec& spec = topology_->spec(w->op);
   TupleClock clock = StartTupleRun();
   for (const Tuple& t : replay) ProcessTuple(w, spec, t, &clock);
   PublishWorkerCounters(w);
   {
     std::lock_guard<std::mutex> lock(ctrl_mu_);
-    in_transition_.erase({m->op, m->shard});
-    ++reassignments_done_;
-    pause_ns_.push_back(backend_->now() - m->flip_at);
+    pause_ns_.push_back(backend_->now() - protocol_.Complete(label_id).flip_at);
   }
   ctrl_cv_.notify_all();  // Epilogue waiters and the driver re-check.
   // A retiring old owner may be idle-blocked in Pop with this migration
   // the last thing referencing it: wake it to re-run its exit test.
-  worker_at(m->op, m->from)->input->Kick();
+  worker_at(w->op, from)->input->Kick();
 }
 
 void NativeRuntime::WorkerEpilogue(Worker* w) {
   // The channel is exhausted but this worker may still owe protocol steps:
-  // label pushes toward other operators, its own finalize as an old owner,
-  // or an install as a destination. Stay on duty until no in-flight move
-  // references this worker, then commit to departure atomically with that
-  // check (ReassignShard refuses departing endpoints).
+  // label pushes toward other operators, its own finalize as an old owner
+  // (unarmed drains wait for exactly this), or an install as a destination.
+  // Stay on duty until no in-flight move references this worker, then
+  // commit to departure atomically with that check (ReassignShard refuses
+  // departing endpoints).
   for (;;) {
-    PollWorkerControl(w);
-    std::vector<int64_t> drains;
-    {
-      std::unique_lock<std::mutex> lock(ctrl_mu_);
-      bool pending = false;
-      for (auto& [id, m] : migrations_) {
-        if (m->op != w->op) continue;
-        if (m->from == w->index && m->phase == MigPhase::kDrained) {
-          // Deferred (unarmed) drain: the input channel is exhausted now,
-          // so the backlog that stood in for the labeling barrier has been
-          // consumed and the shard can finally leave this store.
-          drains.push_back(id);
-        }
-        if (m->from == w->index || m->to == w->index) pending = true;
-      }
-      if (teardown_ || !pending) {
-        w->departing = true;
-        return;
-      }
-      if (drains.empty()) {
-        ctrl_cv_.wait_for(lock, std::chrono::milliseconds(1));
-        continue;
-      }
+    PollWorkerControl(w, /*exhausted=*/true);
+    std::unique_lock<std::mutex> lock(ctrl_mu_);
+    if (teardown_ || !protocol_.References(w->op, w->index)) {
+      w->departing = true;
+      return;
     }
-    for (int64_t id : drains) DrainComplete(w, id);
+    ctrl_cv_.wait_for(lock, std::chrono::milliseconds(1));
   }
 }
 
@@ -1351,6 +1290,12 @@ void NativeRuntime::BalanceTick() {
 TelemetrySnapshot NativeRuntime::SampleTelemetry() const {
   TelemetrySnapshot snap;
   snap.sampled_at = backend_->now();
+  // Channel health: each channel under its own lock, not the control lock.
+  ForEachWorker([&snap](Worker* w) {
+    snap.push_blocks += w->input->push_blocks();
+    snap.pop_waits += w->input->pop_waits();
+    snap.batches_pushed += w->input->batches_pushed();
+  });
   std::lock_guard<std::mutex> lock(ctrl_mu_);
   for (OperatorId op = 0; op < static_cast<OperatorId>(workers_.size());
        ++op) {
@@ -1396,13 +1341,13 @@ TelemetrySnapshot NativeRuntime::SampleTelemetry() const {
     snap.source_emitted += st.emitted;
     snap.sources.push_back(st);
   }
-  snap.reassignments_done = reassignments_done_;
-  snap.migrations_in_flight = static_cast<int64_t>(migrations_.size());
+  snap.reassignments_done = protocol_.completed();
+  snap.migrations_in_flight = protocol_.in_flight();
   return snap;
 }
 
 // ---------------------------------------------------------------------------
-// Accessors (deprecated forwarders; see the header's liveness contract).
+// Accessors (see the header's liveness contract).
 // ---------------------------------------------------------------------------
 
 int NativeRuntime::shard_owner(OperatorId op, ShardId shard) const {
@@ -1411,19 +1356,19 @@ int NativeRuntime::shard_owner(OperatorId op, ShardId shard) const {
 
 int64_t NativeRuntime::reassignments_done() const {
   std::lock_guard<std::mutex> lock(ctrl_mu_);
-  return reassignments_done_;
+  return protocol_.completed();
 }
 
 int64_t NativeRuntime::migrations_in_flight() const {
   std::lock_guard<std::mutex> lock(ctrl_mu_);
-  return static_cast<int64_t>(migrations_.size());
+  return protocol_.in_flight();
 }
 
 bool NativeRuntime::MigrationsPending() const {
   if (!elastic_) return false;
   std::lock_guard<std::mutex> lock(ctrl_mu_);
   // Emergency teardown abandons in-flight migrations; don't wait on them.
-  return !teardown_ && !migrations_.empty();
+  return !teardown_ && protocol_.in_flight() > 0;
 }
 
 std::vector<SimDuration> NativeRuntime::migration_pauses() const {
@@ -1439,49 +1384,6 @@ int64_t NativeRuntime::labels_routed() const {
 int64_t NativeRuntime::order_violations() const {
   int64_t total = 0;
   ForEachWorker([&total](Worker* w) { total += w->order_violations; });
-  return total;
-}
-
-int64_t NativeRuntime::total_processed() const {
-  int64_t total = 0;
-  ForEachWorker([&total](Worker* w) { total += w->processed; });
-  return total;
-}
-
-int64_t NativeRuntime::processed(OperatorId op) const {
-  int64_t total = 0;
-  const int count = worker_count_.at(op).load(std::memory_order_acquire);
-  for (int i = 0; i < count; ++i) total += workers_[op][i]->processed;
-  return total;
-}
-
-int64_t NativeRuntime::sink_count() const {
-  int64_t total = 0;
-  ForEachWorker([&total](Worker* w) { total += w->sink_tuples; });
-  return total;
-}
-
-int64_t NativeRuntime::source_emitted() const {
-  int64_t total = 0;
-  for (const auto& s : sources_) total += s->generated;
-  return total;
-}
-
-int64_t NativeRuntime::push_blocks() const {
-  int64_t total = 0;
-  ForEachWorker([&total](Worker* w) { total += w->input->push_blocks(); });
-  return total;
-}
-
-int64_t NativeRuntime::pop_waits() const {
-  int64_t total = 0;
-  ForEachWorker([&total](Worker* w) { total += w->input->pop_waits(); });
-  return total;
-}
-
-int64_t NativeRuntime::batches_pushed() const {
-  int64_t total = 0;
-  ForEachWorker([&total](Worker* w) { total += w->input->batches_pushed(); });
   return total;
 }
 

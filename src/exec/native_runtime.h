@@ -28,36 +28,24 @@
 // Elastic paradigm (paper §3.3 on real threads). Each non-source operator
 // carries a per-shard routing table of atomics (`ElasticOp::owner`);
 // producers route every tuple by shard owner. ReassignShard(op, shard, to)
-// drives the consistent-reassignment protocol across the worker threads:
+// posts a move on the ReassignProtocol state machine shared with the
+// simulator (elastic/reassign_protocol.h holds its phases and rules, and
+// docs/architecture.md which thread performs each step); every call into it
+// holds ctrl_mu_. What is native:
 //
-//   1. kRequested   — the move is posted on the control board; the source
-//                     worker is kicked awake.
-//   2. kPrecopying  — the source worker starts MigrationEngine::Begin on
-//                     its own store: under kChunkedLive the pre-copy chunks
-//                     are paced by the backend's timer wheel
-//                     (native.migration_copy_bytes_per_sec) while the
-//                     worker keeps processing the shard; a DirtyTracker
-//                     records what changes meanwhile.
-//   3. kLabeling    — pre-copy done: `held[shard]` is raised to name the
-//                     destination and `owner[shard]` flips to it (release
-//                     store); a labeling command is published and every
-//                     producer that feeds this operator pushes one label
-//                     marker into the *old* owner's channel, behind
-//                     everything it already routed there (the in-channel
-//                     barrier; see exec/label_barrier.h). New tuples route
-//                     to the destination, which buffers ("holds") them
-//                     because the shard's state is still in flight.
-//   4. kDrained     — the old owner popped the last expected label: every
-//                     pre-flip tuple of the shard has been processed.
-//   5. kFinalizing  — MigrationEngine::Finalize ships the dirty delta into
-//                     a staging store (paced on the timer wheel when a copy
-//                     rate is set).
-//   6. kReady       — the destination worker is kicked, installs the shard
-//                     into its own store, replays the held tuples in
-//                     arrival order, and lowers `held`. No tuple is lost,
-//                     duplicated, or reordered within its (producer, key)
-//                     stream — native_elastic_stress_test pins this down
-//                     under TSan.
+// * The old owner's thread runs the pre-copy on its own store; under
+//   kChunkedLive the chunks are paced on the backend's timer wheel
+//   (native.migration_copy_bytes_per_sec) while it keeps processing.
+// * The flip raises `held[shard]` to name the destination and flips
+//   `owner[shard]`. Every producer still open toward the operator owes one
+//   label marker, pushed into the old owner's channel behind everything it
+//   already routed there; their count is the barrier the flip arms.
+// * Tuples are held at the destination: post-flip tuples of the shard wait
+//   in `Worker::hold` until the state, finalized into a per-move staging
+//   store, is installed; then they are replayed in arrival order and
+//   `held` drops. No tuple is lost, duplicated, or reordered within its
+//   (producer, key) stream — native_elastic_stress_test pins this down
+//   under TSan.
 //
 // Memory-ordering contract of the routing flip: the publisher stores
 // `held = destination + 1` (relaxed) before flipping `owner` (release);
@@ -112,14 +100,16 @@
 // Threading contract: worker state (stores, rngs, counters) is strictly
 // thread-local while running; cross-thread communication happens only
 // through the channels and the control board (ctrl_mu_ + atomics above).
+// Once a worker exited, its state belongs to the driver thread, which runs
+// the protocol steps the worker no longer can.
 // Introspection surfaces:
 //  * SampleTelemetry() — live (fresh to one micro-batch) and exact after
-//    WaitDrained(); the canonical surface.
-//  * The legacy aggregate accessors (total_processed() etc.) are thin
-//    deprecated forwarders kept for one release: valid only after
-//    WaitDrained() returned (they read joined threads' plain counters).
+//    WaitDrained(); the canonical surface for counts, busy time and the
+//    channel-health sums.
 //  * reassignments_done(), shard_owner(), migrations_in_flight(),
 //    num_workers() are live-safe.
+//  * order_violations() is valid only after WaitDrained() returned (it
+//    reads the joined threads' plain counters).
 //  * Sink latency histograms merge into EngineMetrics at WaitDrained()
 //    (Engine::LatencyHistogram() is post-drain on this backend).
 #pragma once
@@ -130,7 +120,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -139,12 +128,12 @@
 #include "common/histogram.h"
 #include "common/random.h"
 #include "common/status.h"
+#include "elastic/reassign_protocol.h"
 #include "engine/engine_config.h"
 #include "engine/metrics.h"
 #include "engine/partition.h"
 #include "engine/topology.h"
 #include "exec/batch_pool.h"
-#include "exec/label_barrier.h"
 #include "exec/mpsc_channel.h"
 #include "exec/native_backend.h"
 #include "exec/telemetry.h"
@@ -209,11 +198,11 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
   // ---- Elasticity (driver thread; elastic paradigm only) ----
   /// Initiates the consistent live reassignment of `shard` of operator
   /// `op` to worker thread `to_worker`. Asynchronous: returns once the move
-  /// is posted (kRequested). No-op OK when the shard already lives there;
-  /// fails while another move of the same shard is in flight, and when the
-  /// destination is retiring. Callable any time between Start() and
-  /// WaitDrained() — a shard whose worker threads already exited moves
-  /// synchronously.
+  /// is posted (ReassignProtocol::Phase::kRequested). No-op OK when the
+  /// shard already lives there; fails while another move of the same shard
+  /// is in flight, and when the destination is retiring. Callable any time
+  /// between Start() and WaitDrained() — a shard whose worker threads
+  /// already exited moves synchronously.
   Status ReassignShard(OperatorId op, ShardId shard, int to_worker);
 
   /// Current owner worker of a shard (acquire load; callable while live).
@@ -228,21 +217,10 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
   /// Label markers pushed by producers over the runtime's lifetime.
   int64_t labels_routed() const;
 
-  // ---- Aggregates: deprecated forwarders (valid after WaitDrained) ----
-  // Prefer SampleTelemetry(): same numbers, one surface, live-safe. These
-  // read the joined threads' plain counters and are kept for one release.
-  int64_t total_processed() const;
-  int64_t sink_count() const;
-  int64_t source_emitted() const;
-  int64_t processed(OperatorId op) const;
   /// Out-of-order (origin, key) deliveries observed by the concurrent
   /// order validator (validate_key_order; always 0 unless the routing
-  /// protocol is broken).
+  /// protocol is broken). Valid after WaitDrained().
   int64_t order_violations() const;
-  /// Channel-contention counters summed over all worker inputs.
-  int64_t push_blocks() const;
-  int64_t pop_waits() const;
-  int64_t batches_pushed() const;
   /// Batches ever heap-allocated by the pool (flat in steady state).
   int64_t batches_allocated() const { return pool_.allocated(); }
 
@@ -367,37 +345,11 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
     int open_producers = 0;                  // Guarded by ctrl_mu_.
   };
 
-  enum class MigPhase {
-    kRequested,   // Posted; waiting for the source worker to notice.
-    kPrecopying,  // MigrationEngine::Begin running, chunks in flight.
-    kLabeling,    // Routing flipped; waiting for label markers to drain.
-    kDrained,     // Barrier complete; source worker must finalize.
-    kFinalizing,  // Delta shipping into the staging store.
-    kReady        // Staged; waiting for the destination to install.
-  };
-
-  /// One in-flight reassignment, keyed by label id in `migrations_`.
-  /// Guarded by ctrl_mu_ except where a phase hands exclusive access to one
-  /// thread (e.g. only the source worker touches `handle` after kRequested).
-  struct Migration {
-    int64_t label_id = -1;
-    OperatorId op = -1;
-    ShardId shard = -1;
-    int from = -1;
-    int to = -1;
-    MigPhase phase = MigPhase::kRequested;
-    /// Whether the flip armed a labeling barrier (some producer was still
-    /// open). When false the old owner's channel backlog IS the drain:
-    /// finalization must wait until that channel is exhausted (the worker's
-    /// epilogue), not run the moment the phase reads kDrained.
-    bool barrier_armed = false;
-    MigrationEngine::Handle handle;
-    /// Staging store the delta ships into (stable address; the destination
-    /// extracts from here at install).
-    ProcessStateStore staging;
-    ShardOrderState order_state;  // Travels with the shard (validation).
-    SimTime requested_at = 0;
-    SimTime flip_at = 0;  // Routing flipped (pause starts).
+  /// A move's staging store (the delta ships into it; stable address) and
+  /// the shard's order-validation state, from finalize to install.
+  struct Staging {
+    ProcessStateStore store;
+    ShardOrderState order_state;
   };
 
   /// A labeling command on the control board: every producer with a port
@@ -444,25 +396,31 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
   /// Producer-side control poll: push label markers for commands published
   /// since the last poll (both sources and workers).
   void PollProducer(Producer* p);
-  /// Worker-side control poll: label duties plus this worker's migration
-  /// duties (start pre-copy / finalize / install).
-  void PollWorkerControl(Worker* w);
+  /// Worker-side control poll: label duties plus this worker's move duties
+  /// (start pre-copy / finalize / install). `exhausted`: the input channel
+  /// is drained for good (epilogue), so the poll skips the version gate and
+  /// vouches the worker quiescent for unarmed drains.
+  void PollWorkerControl(Worker* w, bool exhausted);
   /// Flushes the partial batch toward `from`, then pushes a label marker
   /// behind it.
   void PushLabel(ProducerPort* port, int from, int64_t label_id);
-  /// Source worker: MigrationEngine::Begin on its own store.
-  void StartPrecopy(Worker* w, int64_t label_id);
+  /// Source worker (or the driver, for an exited one): MigrationEngine::Begin
+  /// on its own store.
+  void StartPrecopy(Worker* w, int64_t label_id, ShardId shard,
+                    bool quiescent);
   /// Pre-copy complete (worker thread or driver timer): flip routing, arm
   /// the barrier, publish the labeling command, kick everyone.
-  void BeginLabeling(int64_t label_id);
+  void BeginLabeling(OperatorId op, int64_t label_id);
   /// A label marker popped from `w`'s channel.
   void OnLabel(Worker* w, int64_t label_id);
-  /// Barrier complete on the source worker: flush downstream (pre-flip
-  /// emissions must precede post-flip ones), ship the delta.
-  void DrainComplete(Worker* w, int64_t label_id);
+  /// Finalizes on the source worker when the protocol allows it: flush
+  /// downstream (pre-flip emissions must precede post-flip ones), ship the
+  /// delta. `quiescent`: `w` consumed its whole input (see PollWorkerControl).
+  void DrainComplete(Worker* w, int64_t label_id, bool quiescent);
   /// Finalize landed (worker thread or driver timer): stage ready, wake the
-  /// destination.
-  void MigrationReady(int64_t label_id);
+  /// destination. An exited destination is installed by the driver thread,
+  /// which owns every exited worker's state (`on_worker_thread`: hand over).
+  void MigrationReady(int64_t label_id, bool on_worker_thread);
   /// Destination worker: install the shard, replay held tuples.
   void InstallMigratedShard(Worker* w, int64_t label_id);
   /// Worker shutdown: wait until no in-flight migration references this
@@ -576,11 +534,8 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
   /// must notice; the producers' fast-path gate is one acquire load.
   std::atomic<uint64_t> ctrl_version_{0};
   std::vector<LabelCmd> label_cmds_;  // Append-only command log.
-  std::map<int64_t, std::unique_ptr<Migration>> migrations_;
-  std::set<std::pair<OperatorId, ShardId>> in_transition_;
-  LabelBarrier barrier_;
-  int64_t next_label_id_ = 0;
-  int64_t reassignments_done_ = 0;
+  ReassignProtocol protocol_;        // Moves in flight; ids are label ids.
+  std::map<int64_t, Staging> staging_;  // By move id, from finalize.
   int64_t labels_routed_ = 0;
   std::vector<SimDuration> pause_ns_;
   bool teardown_ = false;

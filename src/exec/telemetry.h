@@ -154,6 +154,13 @@ struct TelemetrySnapshot {
   int64_t total_busy_ns = 0;
   int64_t reassignments_done = 0;
   int64_t migrations_in_flight = 0;
+
+  // Channel health, summed over every worker's input channel, each read
+  // under that channel's lock (native only; 0 on sim): pushes that found
+  // the ring full, consumer parks, and batches pushed.
+  int64_t push_blocks = 0;
+  int64_t pop_waits = 0;
+  int64_t batches_pushed = 0;
 };
 
 /// Implemented by whatever can be measured: NativeRuntime (lock-free counter

@@ -1,10 +1,10 @@
 #include "rc/rc_controller.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <utility>
 
-#include "common/logging.h"
 #include "state/migration_engine.h"
 
 namespace elasticutor {
@@ -167,7 +167,8 @@ void RcController::RunOnce() {
   if (chosen >= 0) {
     Status st = StartRepartition(chosen, chosen_count);
     if (!st.ok()) {
-      ELOG_WARN << "RC repartition failed to start: " << st.ToString();
+      std::fprintf(stderr, "[WARN] RC repartition failed to start: %s\n",
+                   st.ToString().c_str());
     }
   }
 }

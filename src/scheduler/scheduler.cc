@@ -1,11 +1,11 @@
 #include "scheduler/scheduler.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <chrono>
 #include <queue>
 #include <utility>
 
-#include "common/logging.h"
 
 namespace elasticutor {
 
@@ -281,7 +281,7 @@ void DynamicScheduler::RunOnce() {
   } recorder{&timing_, wall_measure, wall_end};
 
   if (!out.feasible) {
-    ELOG_WARN << "scheduler: no feasible assignment this cycle";
+    std::fputs("[WARN] scheduler: no feasible assignment this cycle\n", stderr);
     return;
   }
   last_phi_used_ = out.phi_used;
@@ -327,9 +327,9 @@ void DynamicScheduler::RunOnce() {
     // chunked-live the same movement prices far cheaper than sync-blob).
     double budget = cfg.pause_budget_s;
     if (budget > 0.0 && last_pause_estimate_s_ > budget) {
-      ELOG_WARN << "scheduler: deferring reconfiguration (estimated pause "
-                << last_pause_estimate_s_ << " s exceeds budget " << budget
-                << " s)";
+      std::fprintf(stderr, "[WARN] scheduler: deferring reconfiguration "
+                   "(estimated pause %g s exceeds budget %g s)\n",
+                   last_pause_estimate_s_, budget);
       return;
     }
   }

@@ -181,6 +181,155 @@ TEST(LoadBalancerTest, MoveCountBounded) {
   EXPECT_LE(moves.size(), 10u);
 }
 
+// ---- ReassignProtocol: the §3.3 state machine both backends drive ----
+
+using Phase = ReassignProtocol::Phase;
+
+// A protocol-only stand-in for a pre-copy's handle: the machine only checks
+// that one landed.
+MigrationEngine::Handle FakeHandle() {
+  return std::make_shared<ShardMigration>();
+}
+
+// Requests a move of `shard` (op 1, worker 0 -> 1) and runs its pre-copy.
+int64_t StartMove(ReassignProtocol* p, ShardId shard) {
+  const int64_t id = p->Request(/*op=*/1, shard, /*from=*/0, /*to=*/1,
+                                /*moves_state=*/true);
+  EXPECT_TRUE(p->Claim(id));
+  return id;
+}
+
+TEST(ReassignProtocolTest, DrainCompletesOnLastLabelIgnoringStaleIds) {
+  ReassignProtocol p;
+  const int64_t id = StartMove(&p, /*shard=*/3);
+  p.AttachHandle(id, FakeHandle());
+  const auto& m = p.Flip(id, /*labels=*/3, /*now=*/100);
+  EXPECT_TRUE(m.barrier_armed);
+  EXPECT_EQ(m.phase, Phase::kLabeling);
+  EXPECT_EQ(m.flip_at, 100);
+  // A second move labeling at the same time counts only its own labels.
+  const int64_t other = StartMove(&p, /*shard=*/4);
+  p.AttachHandle(other, FakeHandle());
+  p.Flip(other, /*labels=*/1, /*now=*/105);
+  EXPECT_FALSE(p.OnLabel(id, 110));
+  EXPECT_FALSE(p.OnLabel(id + 7, 115));  // Unknown id: stale, no count.
+  EXPECT_FALSE(p.OnLabel(id, 120));
+  EXPECT_TRUE(p.OnLabel(other, 125));
+  EXPECT_EQ(p.TryFinalize(id, /*source_quiescent=*/true), nullptr);
+  EXPECT_TRUE(p.OnLabel(id, 130));  // The last expected label.
+  EXPECT_FALSE(p.OnLabel(id, 140));  // Late label of a drained move.
+  const ReassignProtocol::Move* drained =
+      p.TryFinalize(id, /*source_quiescent=*/false);
+  ASSERT_NE(drained, nullptr);
+  EXPECT_EQ(drained->drained_at, 130);
+  EXPECT_EQ(drained->phase, Phase::kFinalizing);
+  EXPECT_EQ(p.TryFinalize(id, false), nullptr);  // Finalized exactly once.
+}
+
+TEST(ReassignProtocolTest, ZeroOpenProducersWaitForSourceQuiescence) {
+  ReassignProtocol p;
+  const int64_t id = StartMove(&p, /*shard=*/0);
+  p.AttachHandle(id, FakeHandle());
+  const auto& m = p.Flip(id, /*labels=*/0, /*now=*/5);
+  EXPECT_FALSE(m.barrier_armed);
+  EXPECT_EQ(m.phase, Phase::kDrained);
+  // The old owner's queued backlog stands in for the barrier: a live
+  // owner may not finalize until it has consumed it.
+  EXPECT_EQ(p.TryFinalize(id, /*source_quiescent=*/false), nullptr);
+  ReassignProtocol::Duties live;
+  p.CollectDuties(/*op=*/1, /*worker=*/0, /*quiescent=*/false, &live);
+  EXPECT_TRUE(live.finalize.empty());
+  ReassignProtocol::Duties exhausted;
+  p.CollectDuties(/*op=*/1, /*worker=*/0, /*quiescent=*/true, &exhausted);
+  ASSERT_EQ(exhausted.finalize.size(), 1u);
+  EXPECT_EQ(exhausted.finalize[0].id, id);
+  ASSERT_NE(p.TryFinalize(id, /*source_quiescent=*/true), nullptr);
+}
+
+TEST(ReassignProtocolTest, FinalizeRefusedUntilTheHandleLands) {
+  // A free pre-copy flips inside MigrationEngine::Begin, before Begin has
+  // returned the handle; the drain may already be complete then.
+  ReassignProtocol p;
+  const int64_t id = StartMove(&p, /*shard=*/0);
+  p.Flip(id, /*labels=*/1, /*now=*/0);
+  EXPECT_TRUE(p.OnLabel(id, 0));
+  EXPECT_EQ(p.TryFinalize(id, /*source_quiescent=*/true), nullptr);
+  p.AttachHandle(id, FakeHandle());
+  EXPECT_NE(p.TryFinalize(id, /*source_quiescent=*/true), nullptr);
+
+  // A move without state (intra-process sharing) never gets a handle.
+  const int64_t shared = p.Request(/*op=*/1, /*shard=*/1, 0, 1,
+                                   /*moves_state=*/false);
+  p.Claim(shared);
+  p.Flip(shared, /*labels=*/1, /*now=*/0);
+  EXPECT_TRUE(p.OnLabel(shared, 0));
+  EXPECT_NE(p.TryFinalize(shared, /*source_quiescent=*/false), nullptr);
+}
+
+TEST(ReassignProtocolTest, OneMovePerShard) {
+  ReassignProtocol p;
+  const int64_t id = StartMove(&p, /*shard=*/4);
+  EXPECT_TRUE(p.InTransition(1, 4));
+  EXPECT_FALSE(p.InTransition(1, 5));
+  EXPECT_FALSE(p.InTransition(2, 4));  // Same shard id, other operator.
+  EXPECT_DEATH(p.Request(/*op=*/1, /*shard=*/4, 1, 2, true), "transition");
+  p.AttachHandle(id, FakeHandle());
+  p.Flip(id, 0, 0);
+  ASSERT_NE(p.TryFinalize(id, true), nullptr);
+  p.Staged(id);
+  ASSERT_NE(p.BeginInstall(id), nullptr);
+  EXPECT_TRUE(p.InTransition(1, 4));  // Held until the install completes.
+  p.Complete(id);
+  EXPECT_FALSE(p.InTransition(1, 4));
+  EXPECT_GE(p.Request(/*op=*/1, /*shard=*/4, 1, 2, true), 0);
+}
+
+TEST(ReassignProtocolTest, WorkersReferencedUntilTheInstallCompletes) {
+  ReassignProtocol p;
+  const int64_t id = StartMove(&p, /*shard=*/2);
+  EXPECT_TRUE(p.References(1, 0));
+  EXPECT_TRUE(p.References(1, 1));
+  EXPECT_FALSE(p.References(1, 2));
+  EXPECT_FALSE(p.References(2, 0));
+  p.AttachHandle(id, FakeHandle());
+  p.Flip(id, 1, 0);
+  EXPECT_TRUE(p.OnLabel(id, 0));
+  EXPECT_EQ(p.BeginInstall(id), nullptr);  // Install only after finalize.
+  ASSERT_NE(p.TryFinalize(id, false), nullptr);
+  EXPECT_EQ(p.BeginInstall(id), nullptr);
+  p.Staged(id);
+  ReassignProtocol::Duties dst;
+  p.CollectDuties(/*op=*/1, /*worker=*/1, /*quiescent=*/false, &dst);
+  ASSERT_EQ(dst.install.size(), 1u);
+  EXPECT_EQ(dst.install[0].id, id);
+  ASSERT_NE(p.BeginInstall(id), nullptr);
+  EXPECT_EQ(p.BeginInstall(id), nullptr);  // Exactly one installer.
+  EXPECT_TRUE(p.References(1, 0));  // Replay still running.
+  EXPECT_TRUE(p.References(1, 1));
+  EXPECT_EQ(p.completed(), 0);
+  const ReassignProtocol::Move done = p.Complete(id);
+  EXPECT_EQ(done.shard, 2);
+  EXPECT_FALSE(p.References(1, 0));
+  EXPECT_FALSE(p.References(1, 1));
+  EXPECT_EQ(p.completed(), 1);
+  EXPECT_EQ(p.in_flight(), 0);
+}
+
+TEST(ReassignProtocolTest, PrecopyIsClaimedOnceAndFlipWaitsForIt) {
+  ReassignProtocol p;
+  const int64_t id = p.Request(/*op=*/1, /*shard=*/0, 0, 1, true);
+  EXPECT_DEATH(p.Flip(id, 1, 0), "pre-copy");
+  ReassignProtocol::Duties src;
+  p.CollectDuties(/*op=*/1, /*worker=*/0, /*quiescent=*/false, &src);
+  ASSERT_EQ(src.precopy.size(), 1u);
+  EXPECT_EQ(src.precopy[0].shard, 0);
+  EXPECT_FALSE(p.Claim(id));  // Already claimed by the poll.
+  ReassignProtocol::Duties again;
+  p.CollectDuties(/*op=*/1, /*worker=*/0, /*quiescent=*/false, &again);
+  EXPECT_TRUE(again.precopy.empty());
+  EXPECT_EQ(p.Flip(id, 1, 0).phase, Phase::kLabeling);
+}
+
 // ---- Elastic executor integration fixtures ----
 
 struct ElasticRig {

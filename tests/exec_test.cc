@@ -18,7 +18,6 @@
 #include "engine/engine_config.h"
 #include "exec/batch_pool.h"
 #include "exec/cpu_affinity.h"
-#include "exec/label_barrier.h"
 #include "exec/mpsc_channel.h"
 #include "exec/native_backend.h"
 #include "exec/sim_backend.h"
@@ -468,52 +467,10 @@ TEST(EventFnCounterTest, InlineCallablesDoNotTouchTheCounter) {
 }
 
 // ---------------------------------------------------------------------------
-// In-channel labeling barrier: the primitive behind live shard reassignment
-// (exec/label_barrier.h + the label-marker batches + MpscChannel::Kick).
+// In-channel labeling barrier: label-marker batches, MpscChannel::Kick, and
+// the ReassignProtocol label count that consumes them (the protocol's own
+// unit tests live in elastic_test.cc).
 // ---------------------------------------------------------------------------
-
-TEST(LabelBarrierTest, CompletesOnLastExpectedMarker) {
-  exec::LabelBarrier barrier;
-  ASSERT_TRUE(barrier.Arm(/*label_id=*/7, /*expected=*/3));
-  EXPECT_TRUE(barrier.armed(7));
-  EXPECT_EQ(barrier.outstanding(7), 3);
-  EXPECT_FALSE(barrier.OnLabel(7));
-  EXPECT_FALSE(barrier.OnLabel(7));
-  EXPECT_EQ(barrier.outstanding(7), 1);
-  EXPECT_TRUE(barrier.OnLabel(7));  // Last marker: barrier completes.
-  EXPECT_FALSE(barrier.armed(7));
-  EXPECT_FALSE(barrier.OnLabel(7));  // Late marker of a done barrier: stale.
-}
-
-TEST(LabelBarrierTest, ZeroProducersMeansNothingToWaitFor) {
-  exec::LabelBarrier barrier;
-  EXPECT_FALSE(barrier.Arm(/*label_id=*/1, /*expected=*/0));
-  EXPECT_FALSE(barrier.armed(1));
-  EXPECT_EQ(barrier.outstanding(1), 0);
-}
-
-TEST(LabelBarrierTest, CancelMakesInFlightMarkersStaleAndAllowsRelabel) {
-  exec::LabelBarrier barrier;
-  ASSERT_TRUE(barrier.Arm(/*label_id=*/9, /*expected=*/2));
-  EXPECT_TRUE(barrier.Cancel(9));  // Aborted migration.
-  EXPECT_FALSE(barrier.Cancel(9));  // Already gone.
-  EXPECT_FALSE(barrier.OnLabel(9));  // Its markers no-op from now on.
-  // Re-labeling the same shard under a fresh id must not double count the
-  // stale markers still in flight.
-  ASSERT_TRUE(barrier.Arm(/*label_id=*/10, /*expected=*/1));
-  EXPECT_FALSE(barrier.OnLabel(9));  // Another stale marker drains.
-  EXPECT_TRUE(barrier.OnLabel(10));
-}
-
-TEST(LabelBarrierTest, IndependentLabelsDoNotInterfere) {
-  exec::LabelBarrier barrier;
-  ASSERT_TRUE(barrier.Arm(1, 1));
-  ASSERT_TRUE(barrier.Arm(2, 2));
-  EXPECT_TRUE(barrier.OnLabel(1));
-  EXPECT_FALSE(barrier.OnLabel(2));
-  EXPECT_TRUE(barrier.armed(2));
-  EXPECT_TRUE(barrier.OnLabel(2));
-}
 
 TEST(MpscChannelTest, LabelMarkerArrivesBehindEarlierBatches) {
   // The whole point of the in-channel barrier: a marker pushed after N data
@@ -582,14 +539,17 @@ TEST(MpscChannelTest, BarrierDrainsAcrossProducerClose) {
   // arrives, and the channel is exhausted only after both closed.
   MpscChannel channel(/*capacity=*/8, /*producers=*/2);
   BatchPool pool;
-  exec::LabelBarrier barrier;
-  ASSERT_TRUE(barrier.Arm(/*label_id=*/5, /*expected=*/1));
+  ReassignProtocol protocol;
+  const int64_t id = protocol.Request(/*op=*/1, /*shard=*/0, /*from=*/0,
+                                      /*to=*/1, /*moves_state=*/false);
+  ASSERT_TRUE(protocol.Claim(id));
+  ASSERT_TRUE(protocol.Flip(id, /*labels=*/1, /*now=*/0).barrier_armed);
 
   TupleBatchStorage* data = pool.Acquire();
   data->tuples.push_back(Tuple{});
   ASSERT_TRUE(channel.Push(data));
   TupleBatchStorage* marker = pool.Acquire();
-  marker->label_id = 5;
+  marker->label_id = id;
   ASSERT_TRUE(channel.Push(marker));
   channel.CloseProducer();  // A done.
   channel.CloseProducer();  // B closes without a marker.
@@ -603,7 +563,7 @@ TEST(MpscChannelTest, BarrierDrainsAcrossProducerClose) {
       break;
     }
     if (batch->label_id >= 0) {
-      complete = barrier.OnLabel(batch->label_id);
+      complete = protocol.OnLabel(batch->label_id, /*now=*/0);
     } else {
       ++batches;
     }
@@ -611,7 +571,7 @@ TEST(MpscChannelTest, BarrierDrainsAcrossProducerClose) {
   }
   EXPECT_TRUE(complete);
   EXPECT_EQ(batches, 1);
-  EXPECT_FALSE(barrier.armed(5));
+  EXPECT_NE(protocol.TryFinalize(id, /*source_quiescent=*/false), nullptr);
 }
 
 // ---------------------------------------------------------------------------

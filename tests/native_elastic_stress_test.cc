@@ -94,10 +94,11 @@ TEST(NativeElasticStressTest, RandomizedMigrationSoakConservesEveryTuple) {
 
   // Conservation: every generated tuple was processed and hit the sink
   // exactly once — nothing lost in a drain, nothing replayed twice.
-  const int64_t emitted = native->source_emitted();
+  const exec::TelemetrySnapshot drained = engine.SampleTelemetry();
+  const int64_t emitted = drained.source_emitted;
   EXPECT_GT(emitted, 0);
-  EXPECT_EQ(native->total_processed(), emitted);
-  EXPECT_EQ(native->sink_count(), emitted);
+  EXPECT_EQ(drained.total_processed, emitted);
+  EXPECT_EQ(drained.sink_count, emitted);
   EXPECT_EQ(engine.metrics()->sink_count(), emitted);
 
   // Ordering: the concurrent validator saw every (producer, key) stream
@@ -170,9 +171,10 @@ TEST(NativeElasticStressTest, PacedRotationNeverHoldsOnTheOldOwner) {
   engine.StopSources();
   engine.RunToCompletion();
 
-  const int64_t emitted = native->source_emitted();
+  const exec::TelemetrySnapshot drained = engine.SampleTelemetry();
+  const int64_t emitted = drained.source_emitted;
   EXPECT_GT(emitted, 0);
-  EXPECT_EQ(native->sink_count(), emitted);
+  EXPECT_EQ(drained.sink_count, emitted);
   EXPECT_EQ(engine.order_violations(), 0);
   EXPECT_EQ(native->migrations_in_flight(), 0);
   EXPECT_GE(native->reassignments_done(), 1000);
@@ -250,10 +252,11 @@ TEST(NativeElasticStressTest, WorkerScalingSoakConservesEveryTuple) {
   engine.StopSources();
   engine.RunToCompletion();
 
-  const int64_t emitted = native->source_emitted();
+  const exec::TelemetrySnapshot drained = engine.SampleTelemetry();
+  const int64_t emitted = drained.source_emitted;
   EXPECT_GT(emitted, 0);
-  EXPECT_EQ(native->total_processed(), emitted);
-  EXPECT_EQ(native->sink_count(), emitted);
+  EXPECT_EQ(drained.total_processed, emitted);
+  EXPECT_EQ(drained.sink_count, emitted);
   EXPECT_EQ(engine.order_violations(), 0);
   EXPECT_GE(scale_ops, kTargetScaleOps);
   EXPECT_GT(native->num_workers(calc), 4) << "no growth ever landed";
@@ -370,7 +373,7 @@ TEST(NativeElasticStressTest, WorkerScalingErrorPaths) {
   EXPECT_FALSE(pool->ShrinkWorkers(calc, 1).ok());  // 1 active left.
 
   engine.RunToCompletion();
-  EXPECT_EQ(engine.native()->sink_count(), 400);  // 2 sources x 200.
+  EXPECT_EQ(engine.SampleTelemetry().sink_count, 400);  // 2 sources x 200.
   EXPECT_EQ(engine.order_violations(), 0);
   // Everything evacuated onto the lone survivor.
   const exec::TelemetrySnapshot snap = engine.SampleTelemetry();

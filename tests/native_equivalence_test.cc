@@ -66,8 +66,13 @@ void ForEachStore(Engine* engine, OperatorId op, Fn&& fn) {
 }
 
 int64_t ProcessedCount(Engine* engine, OperatorId op) {
-  if (engine->native() != nullptr) return engine->native()->processed(op);
   int64_t total = 0;
+  if (engine->native() != nullptr) {
+    for (const auto& wt : engine->SampleTelemetry().workers) {
+      if (wt.op == op) total += wt.processed;
+    }
+    return total;
+  }
   for (const auto& ex : engine->runtime()->executors(op)) {
     total += ex->metrics().processed;
   }
@@ -136,8 +141,8 @@ TEST(NativeEquivalenceTest, MicroPerKeyCountersMatchSim) {
   const int64_t expected = kMicroSources * kMicroBudget;
   EXPECT_EQ(sim_engine.metrics()->sink_count(), expected);
   EXPECT_EQ(native_engine.metrics()->sink_count(), expected);
-  EXPECT_EQ(native_engine.native()->source_emitted(), expected);
-  EXPECT_EQ(native_engine.native()->total_processed(), expected);
+  EXPECT_EQ(native_engine.SampleTelemetry().source_emitted, expected);
+  EXPECT_EQ(native_engine.SampleTelemetry().total_processed, expected);
 
   // Identical per-key aggregate state.
   KeyCounts sim_counts, native_counts;
@@ -170,7 +175,8 @@ TEST(NativeEquivalenceTest, MicroNativeIsDeterministicAcrossWorkerCounts) {
     ASSERT_TRUE(engine.Setup().ok());
     engine.Start();
     engine.RunToCompletion();
-    EXPECT_EQ(engine.native()->sink_count(), kMicroSources * kMicroBudget);
+    EXPECT_EQ(engine.SampleTelemetry().sink_count,
+              kMicroSources * kMicroBudget);
     ForEachStore(&engine, workload.calculator,
                  [&](const ProcessStateStore& s) {
                    AccumulateCounts(s, &counts[run]);
@@ -294,7 +300,7 @@ TEST(NativeEquivalenceTest, NativeRunsElasticParadigm) {
     (void)native->ReassignShard(calc, s, (s + 1) % 4);
   }
   engine.RunToCompletion();
-  EXPECT_EQ(native->sink_count(), kMicroSources * kMicroBudget);
+  EXPECT_EQ(engine.SampleTelemetry().sink_count, kMicroSources * kMicroBudget);
   EXPECT_GT(native->reassignments_done(), 0);
   EXPECT_EQ(native->migrations_in_flight(), 0);
   // Post-drain moves still work (worker threads have exited).
@@ -320,8 +326,8 @@ TEST(NativeEquivalenceTest, NativeRunsTraceModeSources) {
   ASSERT_TRUE(engine.Setup().ok());
   engine.Start();
   engine.RunToCompletion();
-  EXPECT_EQ(engine.native()->source_emitted(), 500);
-  EXPECT_EQ(engine.native()->sink_count(), 500);
+  EXPECT_EQ(engine.SampleTelemetry().source_emitted, 500);
+  EXPECT_EQ(engine.SampleTelemetry().sink_count, 500);
 }
 
 TEST(NativeEquivalenceTest, NativeValidatesKeyOrder) {
@@ -335,7 +341,7 @@ TEST(NativeEquivalenceTest, NativeValidatesKeyOrder) {
   ASSERT_TRUE(engine.Setup().ok());
   engine.Start();
   engine.RunToCompletion();
-  EXPECT_EQ(engine.native()->sink_count(), kMicroSources * kMicroBudget);
+  EXPECT_EQ(engine.SampleTelemetry().sink_count, kMicroSources * kMicroBudget);
   EXPECT_EQ(engine.order_violations(), 0);
 }
 
@@ -451,8 +457,9 @@ TEST(NativeEquivalenceTest, MicroElasticCountersMatchSimUnderMigration) {
                              /*rounds=*/6);
     engine.RunToCompletion();
     exec::NativeRuntime* native = engine.native();
-    EXPECT_EQ(native->sink_count(), expected) << "workers=" << workers;
-    EXPECT_EQ(native->source_emitted(), expected);
+    EXPECT_EQ(engine.SampleTelemetry().sink_count, expected)
+        << "workers=" << workers;
+    EXPECT_EQ(engine.SampleTelemetry().source_emitted, expected);
     EXPECT_EQ(engine.order_violations(), 0) << "workers=" << workers;
     EXPECT_EQ(native->migrations_in_flight(), 0);
     if (workers > 1) {
@@ -495,8 +502,8 @@ TEST(NativeEquivalenceTest, PoolResizeKeepsPerKeyResultsBitIdentical) {
       engine.RunFor(Micros(300));
     }
     engine.RunToCompletion();
-    EXPECT_EQ(native->sink_count(), expected) << "run=" << run;
-    EXPECT_EQ(native->source_emitted(), expected);
+    EXPECT_EQ(engine.SampleTelemetry().sink_count, expected) << "run=" << run;
+    EXPECT_EQ(engine.SampleTelemetry().source_emitted, expected);
     EXPECT_EQ(engine.order_violations(), 0) << "run=" << run;
     EXPECT_EQ(native->migrations_in_flight(), 0);
     if (run == 1) {
