@@ -145,6 +145,41 @@ void BM_StateAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_StateAccess);
 
+// The shapes the repo benchmark runs: `sim-omega16` spreads ~10k keys over
+// 8192 shards (about one key per shard), `saturate` puts 4096 keys on 16
+// shards. Each access is a StateAccessor plus GetOrCreate of a 24-byte
+// value on a key drawn uniformly from the populated set.
+void BM_StateAccessShape(benchmark::State& state) {
+  struct Value {
+    int64_t a, b, c;
+  };
+  const auto shards = static_cast<uint64_t>(state.range(0));
+  const auto keys = static_cast<uint64_t>(state.range(1));
+  ProcessStateStore store;
+  for (uint64_t s = 0; s < shards; ++s) {
+    ELASTICUTOR_CHECK(store.CreateShard(static_cast<ShardId>(s), 0).ok());
+  }
+  auto shard_of = [&](uint64_t key) {
+    return static_cast<ShardId>(HashKey(key) % shards);
+  };
+  for (uint64_t k = 0; k < keys; ++k) {
+    StateAccessor(&store, shard_of(k), k).GetOrCreate<Value>();
+  }
+  Rng rng(5);
+  std::vector<std::pair<ShardId, uint64_t>> order(1 << 16);
+  for (auto& [shard, key] : order) {
+    key = rng.NextBounded(static_cast<uint32_t>(keys));
+    shard = shard_of(key);
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const auto& [shard, key] = order[i++ & (order.size() - 1)];
+    StateAccessor accessor(&store, shard, key);
+    benchmark::DoNotOptimize(accessor.GetOrCreate<Value>());
+  }
+}
+BENCHMARK(BM_StateAccessShape)->Args({8192, 10000})->Args({16, 4096});
+
 }  // namespace
 }  // namespace elasticutor
 

@@ -47,7 +47,11 @@ namespace exec {
 
 struct TupleBatchStorage;  // exec/batch_pool.h
 
-class MpscChannel {
+/// Cache-line aligned: the producers and the consumer write it on every
+/// batch, and alignment keeps heap neighbours (the owning worker, the next
+/// allocation) off its lines, so the data path's speed does not depend on
+/// the sizes of unrelated objects allocated next to it.
+class alignas(64) MpscChannel {
  public:
   /// Default bound of Pop()'s pre-park spin: about one park/wake round trip
   /// (futex wait + wake + the IPI that reschedules the sleeper). Of 10, 20

@@ -157,12 +157,24 @@ TEST(MpscChannelTest, TryPopOnEmptyOpenChannelReturnsNull) {
   ch.CloseProducer();
 }
 
+// Polls a channel's contention counter until the other thread has blocked
+// on it. Waiting for the event, not for a fixed sleep, keeps a loaded host
+// (where the thread may not run for milliseconds) from failing the check.
+template <typename Counter>
+void AwaitBlocked(Counter counter) {
+  const auto hang = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (counter() < 1) {
+    ASSERT_LT(std::chrono::steady_clock::now(), hang) << "thread never blocked";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
 TEST(MpscChannelTest, PopBlocksUntilPush) {
   MpscChannel ch(2, 1);
   TupleBatchStorage batch;
   TupleBatchStorage* popped = nullptr;
   std::thread consumer([&]() { popped = ch.Pop(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  AwaitBlocked([&] { return ch.pop_waits(); });
   EXPECT_TRUE(ch.Push(&batch));
   consumer.join();
   EXPECT_EQ(popped, &batch);
@@ -179,7 +191,7 @@ TEST(MpscChannelTest, FullChannelBlocksProducerUntilPop) {
     EXPECT_TRUE(ch.Push(&second));  // Blocks: channel is full.
     second_pushed.store(true);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  AwaitBlocked([&] { return ch.push_blocks(); });
   EXPECT_EQ(ch.Pop(), &first);  // Frees a slot; producer unblocks.
   producer.join();
   EXPECT_TRUE(second_pushed.load());

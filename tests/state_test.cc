@@ -4,8 +4,12 @@
 // sync-blob vs chunked-live semantics).
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <map>
+#include <set>
 #include <type_traits>
 
+#include "common/random.h"
 #include "net/network.h"
 #include "exec/sim_backend.h"
 #include "state/migration_engine.h"
@@ -113,6 +117,141 @@ TEST(StateAccessorTest, WritesFeedAttachedDirtyTracker) {
     a.GetOrCreate<int64_t>();
   }
   EXPECT_EQ(tracker.dirty_keys(), 1u);  // Detached: no further tracking.
+}
+
+// ---- Flat tables: per-shard entries and the shard table ----
+
+TEST(StateEntriesTest, OneShardGrowsToAThousandKeys) {
+  ProcessStateStore store;
+  ASSERT_TRUE(store.CreateShard(0, 0).ok());
+  constexpr uint64_t kKeys = 1000;
+  auto key_of = [](uint64_t i) { return i * 7919 + 3; };
+  auto read_back = [&](uint64_t n) {
+    for (uint64_t i = 0; i < n; ++i) {
+      StateAccessor a(&store, 0, key_of(i));
+      ASSERT_EQ(*a.GetOrCreate<int64_t>(), static_cast<int64_t>(i) * 3);
+    }
+  };
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    StateAccessor a(&store, 0, key_of(i));
+    *a.GetOrCreate<int64_t>() = static_cast<int64_t>(i) * 3;
+    ASSERT_EQ(store.GetShard(0)->entries.size(), i + 1);
+    // Every earlier key survives the switch from scan to index and each
+    // index rebuild just past it.
+    if (i < 4 * StateEntries::kLinearScanMax) read_back(i + 1);
+  }
+  read_back(kKeys);
+  EXPECT_EQ(store.GetShard(0)->entries.size(), kKeys);
+  EXPECT_EQ(store.ShardBytes(0),
+            static_cast<int64_t>(kKeys) *
+                (static_cast<int64_t>(sizeof(int64_t)) +
+                 StateAccessor::kEntryOverheadBytes));
+
+  std::map<StateKey, int64_t> seen;
+  for (const auto& [key, value] : store.GetShard(0)->entries) {
+    const int64_t* v = std::any_cast<int64_t>(&value);
+    ASSERT_NE(v, nullptr);
+    EXPECT_TRUE(seen.emplace(key, *v).second) << "key " << key << " twice";
+  }
+  ASSERT_EQ(seen.size(), kKeys);
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    EXPECT_EQ(seen[key_of(i)], static_cast<int64_t>(i) * 3);
+  }
+}
+
+// Random create/extract/install/write churn on scattered shard ids, checked
+// after every operation against a std::map model: catches probe chains
+// broken by deletion and blobs mixed up when the table moves shards.
+TEST(StateStoreTest, ChurnMatchesMapModel) {
+  std::vector<ShardId> ids = {7, 4099, 8191, -5,
+                              std::numeric_limits<ShardId>::max()};
+  for (ShardId i = 0; i < 48; ++i) {
+    ids.push_back(i);
+    ids.push_back(i * 4096 + 3);
+  }
+  constexpr int64_t kEntryBytes =
+      static_cast<int64_t>(sizeof(int64_t)) + StateAccessor::kEntryOverheadBytes;
+  struct Model {
+    int64_t base = 0;
+    std::set<StateKey> keys;
+    int64_t bytes() const {
+      return base + static_cast<int64_t>(keys.size()) * kEntryBytes;
+    }
+  };
+  std::map<ShardId, Model> live;    // In the store.
+  std::map<ShardId, Model> parked;  // Extracted, awaiting re-install.
+  std::map<ShardId, ShardState> blobs;
+  ProcessStateStore store;
+  Rng rng(11);
+
+  auto check = [&]() {
+    ASSERT_EQ(store.num_shards(), live.size());
+    int64_t total = 0;
+    for (const auto& [id, m] : live) total += m.bytes();
+    ASSERT_EQ(store.TotalBytes(), total);
+    for (ShardId id : ids) {
+      auto it = live.find(id);
+      ASSERT_EQ(store.HasShard(id), it != live.end()) << "shard " << id;
+      ASSERT_EQ(store.ShardBytes(id), it == live.end() ? 0 : it->second.bytes());
+      if (it == live.end()) continue;
+      ShardState* state = store.GetShard(id);
+      ASSERT_EQ(state->bytes(), it->second.bytes());
+      ASSERT_EQ(state->entries.size(), it->second.keys.size());
+      // Key 0 holds the shard's own id: proves the blob is this shard's.
+      StateAccessor a(&store, id, 0);
+      ASSERT_EQ(*a.GetOrCreate<int64_t>(), id);
+    }
+    std::set<ShardId> visited;
+    store.ForEachShard([&](ShardId id, const ShardState& state) {
+      EXPECT_TRUE(visited.insert(id).second);
+      EXPECT_EQ(state.bytes(), live.at(id).bytes());
+    });
+    ASSERT_EQ(visited.size(), live.size());
+  };
+
+  for (int op = 0; op < 4000; ++op) {
+    const ShardId id = ids[rng.NextBounded(static_cast<uint32_t>(ids.size()))];
+    if (live.contains(id)) {
+      EXPECT_EQ(store.CreateShard(id, 1).code(), StatusCode::kAlreadyExists);
+      if (rng.NextBool(0.5)) {
+        Result<ShardState> out = store.ExtractShard(id);
+        ASSERT_TRUE(out.ok());
+        ASSERT_EQ(out.value().bytes(), live[id].bytes());
+        blobs.emplace(id, std::move(out).value());
+        parked.emplace(id, live[id]);
+        live.erase(id);
+      } else {
+        const StateKey key = 1 + rng.NextBounded(12);
+        StateAccessor a(&store, id, key);
+        *a.GetOrCreate<int64_t>() = op;
+        live[id].keys.insert(key);
+      }
+    } else if (parked.contains(id)) {
+      ASSERT_TRUE(store.InstallShard(id, std::move(blobs.at(id))).ok());
+      blobs.erase(id);
+      live.emplace(id, parked[id]);
+      parked.erase(id);
+    } else {
+      EXPECT_EQ(store.ExtractShard(id).status().code(), StatusCode::kNotFound);
+      const int64_t base = rng.NextBounded(1000);
+      ASSERT_TRUE(store.CreateShard(id, base).ok());
+      StateAccessor a(&store, id, 0);
+      *a.GetOrCreate<int64_t>() = id;
+      live[id] = Model{base, {0}};
+    }
+    check();
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(live.size(), 10u);
+  EXPECT_GT(parked.size(), 10u);
+}
+
+TEST(StateStoreDeathTest, GetShardOnExtractedShardDies) {
+  ProcessStateStore store;
+  ASSERT_TRUE(store.CreateShard(4099, 10).ok());
+  ASSERT_TRUE(store.CreateShard(3, 10).ok());
+  ASSERT_TRUE(store.ExtractShard(4099).ok());
+  EXPECT_DEATH(store.GetShard(4099), "absent shard \\(routing bug\\?\\)");
 }
 
 // ---- MigrationEngine ----
