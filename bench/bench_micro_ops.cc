@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include "elasticutor/elasticutor.h"
+#include "oracle/dense_assignment.h"
 
 namespace elasticutor {
 namespace {

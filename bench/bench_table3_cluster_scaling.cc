@@ -15,6 +15,7 @@
 #include <chrono>
 
 #include "harness/experiment.h"
+#include "oracle/dense_assignment.h"
 
 using namespace elasticutor;
 using namespace elasticutor::bench;

@@ -28,10 +28,19 @@ Validates every bench JSON against bench/expectations.json:
                          hardware-conditional, not regressions, on small
                          machines.
 
+With --against BASE_DIR it instead compares the artifacts row by row with
+those of the same name in BASE_DIR (e.g. a parent commit's run at the same
+ELASTICUTOR_BENCH_SCALE): same row count, same columns, equal values, except
+in each file's wall_clock_columns. Those entries are fnmatch patterns over
+column names, either bare (every row) or {"where": {...}, "columns": [...]}
+(rows matching `where`, for tables keyed by a metric column). A column only
+the new artifact has is reported but not failed: it has no base value.
+
 Usage:
   scripts/check_bench_json.py                  # all files in expectations,
                                                # resolved against --dir
   scripts/check_bench_json.py BENCH_a.json ... # just the named files
+  scripts/check_bench_json.py --dir NEW --against BASE
 
 Without explicit file arguments every file listed in expectations must
 exist, and every BENCH_*.json present must be listed in expectations -- a
@@ -41,6 +50,7 @@ Exits non-zero listing every violation (a regression fails the build).
 """
 
 import argparse
+import fnmatch
 import glob
 import json
 import os
@@ -105,16 +115,24 @@ def run_check(name, rows, check, scale, errors):
                           f"(row: {json.dumps(row)})")
 
 
-def check_file(path, spec, scale, errors):
+def load_rows(path, errors):
     name = os.path.basename(path)
     try:
         with open(path) as f:
             rows = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         errors.append(f"{name}: unreadable ({e})")
-        return
+        return None
     if not isinstance(rows, list):
         errors.append(f"{name}: top-level JSON is not a row array")
+        return None
+    return rows
+
+
+def check_file(path, spec, scale, errors):
+    name = os.path.basename(path)
+    rows = load_rows(path, errors)
+    if rows is None:
         return
     if not rows:
         if not spec.get("allow_empty", False):
@@ -140,6 +158,41 @@ def check_file(path, spec, scale, errors):
         run_check(name, rows, check, scale, errors)
 
 
+def is_wall_clock(spec, row, column):
+    for entry in spec.get("wall_clock_columns", []):
+        if isinstance(entry, str):
+            patterns = [entry]
+        elif match_where(row, entry.get("where", {})):
+            patterns = entry["columns"]
+        else:
+            continue
+        if any(fnmatch.fnmatchcase(column, p) for p in patterns):
+            return True
+    return False
+
+
+def compare_file(path, base_path, spec, errors, notes):
+    name = os.path.basename(path)
+    rows = load_rows(path, errors)
+    base_rows = load_rows(base_path, errors)
+    if rows is None or base_rows is None:
+        return
+    if len(rows) != len(base_rows):
+        errors.append(f"{name}: {len(rows)} rows, base has {len(base_rows)}")
+        return
+    added = set()
+    for i, (row, base) in enumerate(zip(rows, base_rows)):
+        for col in sorted(set(base) - set(row)):
+            errors.append(f"{name}: row {i} lost column {col!r}")
+        added |= set(row) - set(base)
+        for col in sorted(set(row) & set(base)):
+            if row[col] != base[col] and not is_wall_clock(spec, base, col):
+                errors.append(f"{name}: row {i} column {col!r}: "
+                              f"{row[col]!r}, base {base[col]!r}")
+    for col in sorted(added):
+        notes.append(f"{name}: new column {col!r} (no base value)")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("files", nargs="*",
@@ -150,6 +203,9 @@ def main():
                                              "expectations.json"))
     parser.add_argument("--dir", default=".",
                         help="directory holding the BENCH_*.json files")
+    parser.add_argument("--against", metavar="BASE_DIR",
+                        help="compare with the same-named artifacts in "
+                             "BASE_DIR instead of checking expectations")
     parser.add_argument("--scale", type=float,
                         default=float(os.environ.get(
                             "ELASTICUTOR_BENCH_SCALE", "1.0") or 1.0),
@@ -176,6 +232,7 @@ def main():
                               f".json)")
 
     checked = 0
+    notes = []
     for path in targets:
         name = os.path.basename(path)
         if name not in specs:
@@ -184,16 +241,27 @@ def main():
         if not os.path.exists(path):
             errors.append(f"{name}: artifact missing")
             continue
-        check_file(path, specs[name], args.scale, errors)
+        if args.against:
+            base_path = os.path.join(args.against, name)
+            if not os.path.exists(base_path):
+                errors.append(f"{name}: missing in {args.against}")
+                continue
+            compare_file(path, base_path, specs[name], errors, notes)
+        else:
+            check_file(path, specs[name], args.scale, errors)
         checked += 1
 
+    what = (f"against {args.against}" if args.against
+            else f"at scale {args.scale}")
+    for note in notes:
+        print(f"  note {note}")
     if errors:
         print(f"bench gate: {len(errors)} violation(s) over {checked} "
-              f"file(s) at scale {args.scale}:", file=sys.stderr)
+              f"file(s) {what}:", file=sys.stderr)
         for e in errors:
             print(f"  FAIL {e}", file=sys.stderr)
         return 1
-    print(f"bench gate: {checked} file(s) OK at scale {args.scale}")
+    print(f"bench gate: {checked} file(s) OK {what}")
     return 0
 
 

@@ -89,6 +89,7 @@ class Engine {
   PerfCounters Perf() const {
     return metrics_->PerfWindow(
         static_cast<int64_t>(exec_->events_executed()),
+        static_cast<int64_t>(exec_->heap_events()),
         EventFn::heap_allocations(), net_->messages_sent());
   }
 

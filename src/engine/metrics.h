@@ -43,10 +43,13 @@ struct ExecutorMetrics {
 struct PerfCounters {
   int64_t routed_tuples = 0;        // Admissions through Runtime routing.
   int64_t events_fired = 0;         // Simulator events executed.
+  int64_t heap_events = 0;          // Of those scheduled: via the event
+                                    // heap, not a constant-delay lane.
   int64_t callback_heap_allocs = 0; // EventFn inline-storage misses.
   int64_t messages_sent = 0;        // Network messages (batches count once).
 
   double events_per_tuple() const { return Ratio(events_fired); }
+  double heap_events_per_tuple() const { return Ratio(heap_events); }
   double heap_allocs_per_tuple() const { return Ratio(callback_heap_allocs); }
   double messages_per_tuple() const { return Ratio(messages_sent); }
 
@@ -99,16 +102,20 @@ class EngineMetrics {
   /// deltas from this point. The simulator/EventFn totals are passed in
   /// because they live below the engine layer; Network messages are windowed
   /// by Network::ResetCounters (performed by the same warm-up reset).
-  void BeginPerfWindow(int64_t events_now, int64_t heap_allocs_now) {
+  void BeginPerfWindow(int64_t events_now, int64_t heap_events_now,
+                       int64_t heap_allocs_now) {
     routed_tuples_ = 0;
     perf_events_base_ = events_now;
+    perf_heap_events_base_ = heap_events_now;
     perf_allocs_base_ = heap_allocs_now;
   }
-  PerfCounters PerfWindow(int64_t events_now, int64_t heap_allocs_now,
+  PerfCounters PerfWindow(int64_t events_now, int64_t heap_events_now,
+                          int64_t heap_allocs_now,
                           int64_t messages_since_reset) const {
     PerfCounters perf;
     perf.routed_tuples = routed_tuples_;
     perf.events_fired = events_now - perf_events_base_;
+    perf.heap_events = heap_events_now - perf_heap_events_base_;
     perf.callback_heap_allocs = heap_allocs_now - perf_allocs_base_;
     perf.messages_sent = messages_since_reset;
     return perf;
@@ -170,6 +177,7 @@ class EngineMetrics {
   int64_t sink_count_ = 0;
   int64_t routed_tuples_ = 0;
   int64_t perf_events_base_ = 0;
+  int64_t perf_heap_events_base_ = 0;
   int64_t perf_allocs_base_ = 0;
   Histogram latency_;
   TimeSeries sink_throughput_;

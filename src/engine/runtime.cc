@@ -211,7 +211,8 @@ void Runtime::StampArrival(OperatorId op, Tuple* t) {
 void Runtime::ResetMetricsAfterWarmup() {
   metrics_->ResetAfterWarmup();
   net_->ResetCounters();
-  metrics_->BeginPerfWindow(exec_->events_executed(),
+  metrics_->BeginPerfWindow(static_cast<int64_t>(exec_->events_executed()),
+                            static_cast<int64_t>(exec_->heap_events()),
                             EventFn::heap_allocations());
   for (auto& execs : executors_) {
     for (auto& e : execs) e->metrics().Reset();

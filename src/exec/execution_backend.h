@@ -103,6 +103,11 @@ class ExecutionBackend {
   /// Deferred calls executed since construction (perf counters).
   virtual uint64_t events_executed() const = 0;
 
+  /// Deferred calls scheduled through the simulator's event heap rather
+  /// than one of its constant-delay lanes (perf counters). 0 on backends
+  /// without that split.
+  virtual uint64_t heap_events() const { return 0; }
+
   // ---- Resource-control plane ----
   /// Registers the measurement and actuation surfaces of the concrete
   /// execution (Engine calls this during Setup: the native runtime binds

@@ -49,6 +49,8 @@ class SimBackend final : public ExecutionBackend {
     return sim_->events_executed();
   }
 
+  uint64_t heap_events() const override { return sim_->heap_events(); }
+
  private:
   std::unique_ptr<Simulator> sim_;
 };

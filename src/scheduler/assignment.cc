@@ -2,17 +2,22 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 #include <optional>
 #include <queue>
 
 #include "common/status.h"
+#include "scheduler/assignment_greedy.h"
 
 namespace elasticutor {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
+using assignment_greedy::kInf;
+using assignment_greedy::MarginalAlloc;
+using assignment_greedy::MarginalDealloc;
+using assignment_greedy::SlownessPenalty;
+using assignment_greedy::SolveWithPhiDoubling;
+using assignment_greedy::UnderProvisioned;
 
 int GetAt(const PlacementVec& p, int node) {
   auto it = std::lower_bound(
@@ -31,46 +36,6 @@ void AddAt(PlacementVec& p, int node, int delta) {
   } else if (delta != 0) {
     p.insert(it, {node, delta});
   }
-}
-
-// Penalty (in cost bytes) for allocating a core on a slow node: a node at
-// speed 1/f forfeits (f - 1) nominal cores' worth of work, priced against
-// the executor's state size so it stays commensurable with migration cost
-// (the +1 keeps the preference strict even for stateless executors).
-double SlownessPenalty(const AssignmentInput& in, int node, int j) {
-  if (in.node_speed.empty()) return 0.0;
-  double speed = in.node_speed[node];
-  if (speed >= 1.0 || speed <= 0.0) return 0.0;
-  return (1.0 / speed - 1.0) * (in.state_bytes[j] + 1.0);
-}
-
-// Marginal-cost formulas shared by the sparse and dense solvers — a single
-// code path so their floating-point results are bit-identical.
-double MarginalAlloc(double s, int xj, int x_ij, double penalty) {
-  if (xj <= 0) return penalty;
-  return s * (xj - x_ij) / (static_cast<double>(xj) * (xj + 1)) + penalty;
-}
-
-double MarginalDealloc(double s, int xj, int x_ij) {
-  if (xj <= 1) return kInf;  // Would drop the executor to zero cores.
-  return s * (xj - x_ij) / (static_cast<double>(xj) * (xj - 1));
-}
-
-// Under-provisioned executors, most data-intensive first; index tie-break
-// keeps the two solvers (and any std::sort implementation) in lockstep.
-std::vector<int> UnderProvisioned(const AssignmentInput& in,
-                                  const std::vector<int>& total) {
-  std::vector<int> under;
-  for (int j = 0; j < static_cast<int>(in.target.size()); ++j) {
-    if (total[j] < in.target[j]) under.push_back(j);
-  }
-  std::sort(under.begin(), under.end(), [&](int a, int b) {
-    if (in.data_intensity[a] != in.data_intensity[b]) {
-      return in.data_intensity[a] > in.data_intensity[b];
-    }
-    return a < b;
-  });
-  return under;
 }
 
 // ---------------------------------------------------------------------------
@@ -334,25 +299,22 @@ class SparseSolver {
   std::vector<NodeEntry> scratch_;
 };
 
-template <typename SolveOnce>
-AssignmentOutput SolveWithPhiDoubling(const AssignmentInput& in,
-                                      SolveOnce solve_once) {
-  int total_target = std::accumulate(in.target.begin(), in.target.end(), 0);
-  int total_capacity =
-      std::accumulate(in.node_capacity.begin(), in.node_capacity.end(), 0);
-  if (total_target > total_capacity) {
-    return AssignmentOutput{};  // Structurally infeasible.
-  }
-  double phi = in.phi;
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    AssignmentOutput out = solve_once(in, phi);
-    if (out.feasible) return out;
-    phi *= 2.0;
-  }
-  return solve_once(in, kInf);
-}
-
 }  // namespace
+
+std::vector<int> assignment_greedy::UnderProvisioned(
+    const AssignmentInput& in, const std::vector<int>& total) {
+  std::vector<int> under;
+  for (int j = 0; j < static_cast<int>(in.target.size()); ++j) {
+    if (total[j] < in.target[j]) under.push_back(j);
+  }
+  std::sort(under.begin(), under.end(), [&](int a, int b) {
+    if (in.data_intensity[a] != in.data_intensity[b]) {
+      return in.data_intensity[a] > in.data_intensity[b];
+    }
+    return a < b;
+  });
+  return under;
+}
 
 // ---- SparseAssignment ----
 
@@ -471,112 +433,8 @@ AssignmentOutput SolveAssignmentOnce(const AssignmentInput& in, double phi) {
   return SparseSolver(in, phi).Solve();
 }
 
-AssignmentOutput SolveAssignmentOnceDense(const AssignmentInput& in,
-                                          double phi) {
-  const int n = static_cast<int>(in.node_capacity.size());
-  const int m = static_cast<int>(in.target.size());
-  ELASTICUTOR_CHECK(static_cast<int>(in.current.exec.size()) == m);
-
-  std::vector<std::vector<int>> x = in.current.ToDense(n);
-  std::vector<int> total(m, 0);
-  std::vector<int> free_cores(n, 0);
-  for (int i = 0; i < n; ++i) {
-    int used = 0;
-    for (int j = 0; j < m; ++j) used += x[i][j];
-    free_cores[i] = in.node_capacity[i] - used;
-    ELASTICUTOR_CHECK_MSG(free_cores[i] >= 0, "node over capacity");
-  }
-  for (int j = 0; j < m; ++j) {
-    for (int i = 0; i < n; ++i) total[j] += x[i][j];
-  }
-
-  auto over_provisioned = [&](int j) { return total[j] > in.target[j]; };
-  auto cost_alloc = [&](int i, int j) {
-    return MarginalAlloc(in.state_bytes[j], total[j], x[i][j],
-                         SlownessPenalty(in, i, j));
-  };
-  auto cost_dealloc = [&](int i, int j) {
-    return MarginalDealloc(in.state_bytes[j], total[j], x[i][j]);
-  };
-
-  AssignmentOutput out;
-  for (int j : UnderProvisioned(in, total)) {
-    while (total[j] < in.target[j]) {
-      if (in.data_intensity[j] > phi) {
-        // Locality constraint: only cores on the home node.
-        int i = in.home[j];
-        if (free_cores[i] > 0) {
-          --free_cores[i];
-        } else {
-          int donor = -1;
-          double best = kInf;
-          for (int cand = 0; cand < m; ++cand) {
-            if (cand == j || !over_provisioned(cand) || x[i][cand] <= 0) {
-              continue;
-            }
-            double cost = cost_dealloc(i, cand);
-            if (cost < best) {
-              best = cost;
-              donor = cand;
-            }
-          }
-          if (donor < 0) return out;  // FAIL at this φ.
-          --x[i][donor];
-          --total[donor];
-        }
-        ++x[i][j];
-        ++total[j];
-      } else {
-        // Any node: cheapest dealloc+alloc pair (free cores cost only C+).
-        int best_node = -1, donor = -1;
-        double best = kInf;
-        for (int i = 0; i < n; ++i) {
-          if (free_cores[i] > 0) {
-            double cost = cost_alloc(i, j);
-            if (cost < best) {
-              best = cost;
-              best_node = i;
-              donor = -1;
-            }
-          }
-          for (int cand = 0; cand < m; ++cand) {
-            if (cand == j || !over_provisioned(cand) || x[i][cand] <= 0) {
-              continue;
-            }
-            double cost = cost_dealloc(i, cand) + cost_alloc(i, j);
-            if (cost < best) {
-              best = cost;
-              best_node = i;
-              donor = cand;
-            }
-          }
-        }
-        if (best_node < 0) return out;  // FAIL at this φ.
-        if (donor >= 0) {
-          --x[best_node][donor];
-          --total[donor];
-        } else {
-          --free_cores[best_node];
-        }
-        ++x[best_node][j];
-        ++total[j];
-      }
-    }
-  }
-
-  out.feasible = true;
-  out.x = SparseAssignment::FromDense(x);
-  out.phi_used = phi;
-  out.migration_cost_bytes = MigrationCostBytes(in, out.x);
-  return out;
-}
-
 AssignmentOutput SolveAssignment(const AssignmentInput& in) {
   return SolveWithPhiDoubling(in, SolveAssignmentOnce);
-}
-
-AssignmentOutput SolveAssignmentDense(const AssignmentInput& in) {
-  return SolveWithPhiDoubling(in, SolveAssignmentOnceDense);
 }
 
 AssignmentOutput NaiveAssignment(const AssignmentInput& in, uint64_t salt) {

@@ -17,16 +17,15 @@
 // If no feasible assignment exists at φ, the caller doubles φ and retries
 // (SolveAssignment automates the doubling).
 //
-// Two interchangeable solvers implement the same greedy:
-//  * SolveAssignmentOnce — the production path: sparse placements plus
-//    indexed min-heaps (a per-node heap of dealloc candidates and a global
-//    heap over nodes) with lazy invalidation, so a core grant costs
-//    O((P + K)·log) where P is the touched executors' placement size and K
-//    the popped tie run — not O(n·m).
-//  * SolveAssignmentOnceDense — the original dense scan, retained as the
-//    reference oracle. Both share the marginal-cost helpers and identical
-//    tie-breaking ((cost, node, donor) lexicographic), so their decisions
-//    are bit-identical; tests/assignment_equivalence_test.cc enforces it.
+// SolveAssignmentOnce implements the greedy with sparse placements plus
+// indexed min-heaps (a per-node heap of dealloc candidates and a global heap
+// over nodes) with lazy invalidation, so a core grant costs O((P + K)·log)
+// where P is the touched executors' placement size and K the popped tie run
+// — not O(n·m). The original dense scan lives on outside the library as the
+// reference oracle (tests/oracle/dense_assignment.h). Both share the
+// helpers in assignment_greedy.h and identical tie-breaking ((cost, node,
+// donor) lexicographic), so their decisions are bit-identical;
+// tests/assignment_equivalence_test.cc enforces it.
 #pragma once
 
 #include <cstdint>
@@ -89,19 +88,10 @@ struct AssignmentOutput {
 /// One run of Algorithm 1 at a fixed φ — sparse indexed-heap solver.
 AssignmentOutput SolveAssignmentOnce(const AssignmentInput& in, double phi);
 
-/// One run of Algorithm 1 at a fixed φ — dense O(n·m)-per-grant reference
-/// oracle (bit-identical decisions to SolveAssignmentOnce).
-AssignmentOutput SolveAssignmentOnceDense(const AssignmentInput& in,
-                                          double phi);
-
 /// Algorithm 1 with the paper's φ-doubling loop. Always terminates: with
 /// φ = ∞ the locality constraint vanishes and a solution exists whenever
 /// Σ k_j ≤ Σ c_i.
 AssignmentOutput SolveAssignment(const AssignmentInput& in);
-
-/// φ-doubling loop over the dense reference solver (equivalence tests and
-/// the Table-3 speedup comparison).
-AssignmentOutput SolveAssignmentDense(const AssignmentInput& in);
 
 /// naive-EC baseline: first-fit packing of k_j cores over nodes, ignoring
 /// the current assignment, state sizes and data intensity. `salt` rotates

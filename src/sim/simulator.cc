@@ -6,23 +6,22 @@
 
 namespace elasticutor {
 
-EventId Simulator::At(SimTime at, EventFn fn) {
+EventId Simulator::At(SimTime at, EventFn&& fn) {
   ELASTICUTOR_CHECK_MSG(at >= now_, "scheduling into the past");
   return queue_.Push(at, std::move(fn));
 }
 
-EventId Simulator::After(SimDuration delay, EventFn fn) {
+EventId Simulator::After(SimDuration delay, EventFn&& fn) {
   if (delay < 0) delay = 0;
   return queue_.Push(now_ + delay, std::move(fn));
 }
 
 uint64_t Simulator::RunUntil(SimTime until) {
   uint64_t executed = 0;
-  while (!queue_.empty()) {
-    if (queue_.PeekTime() > until) break;
-    EventQueue::Entry entry = queue_.Pop();
-    now_ = entry.time;
-    entry.fn();
+  EventQueue::Ready ready;
+  while (queue_.Next(until, &ready)) {
+    now_ = ready.time;
+    queue_.RunAndRelease(ready.id);
     ++executed;
     ++events_executed_;
   }

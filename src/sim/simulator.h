@@ -21,11 +21,12 @@ class Simulator {
 
   SimTime now() const { return now_; }
 
-  /// Schedules fn at absolute time `at` (must be >= now).
-  EventId At(SimTime at, EventFn fn);
+  /// Schedules fn at absolute time `at` (must be >= now). The callback is
+  /// moved once, into its queue slot, and later runs there.
+  EventId At(SimTime at, EventFn&& fn);
 
   /// Schedules fn after `delay` ns (clamped at >= 0).
-  EventId After(SimDuration delay, EventFn fn);
+  EventId After(SimDuration delay, EventFn&& fn);
 
   /// Cancels a pending event; returns false if it already fired or was
   /// already cancelled.
@@ -45,6 +46,10 @@ class Simulator {
                 std::function<bool(SimTime)> fn);
 
   uint64_t events_executed() const { return events_executed_; }
+
+  /// Events scheduled through the event heap rather than a constant-delay
+  /// lane (sim/event_queue.h), since construction.
+  uint64_t heap_events() const { return queue_.heap_pushes(); }
 
  private:
   struct PeriodicTask {

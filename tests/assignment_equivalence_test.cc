@@ -15,6 +15,7 @@
 #include <numeric>
 
 #include "elasticutor/elasticutor.h"
+#include "oracle/dense_assignment.h"
 
 namespace elasticutor {
 namespace {

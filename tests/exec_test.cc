@@ -606,7 +606,7 @@ TEST(CycleClockTest, TicksAdvanceAndConvertToPlausibleNs) {
   const uint64_t t0 = exec::CycleClock::Now();
   // Busy-wait a hair so even a coarse fallback clock moves.
   volatile uint64_t sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   const uint64_t t1 = exec::CycleClock::Now();
   EXPECT_GT(t1, t0);
   EXPECT_GT(exec::CycleClock::NsPerTick(), 0.0);

@@ -1,10 +1,13 @@
 // Unit tests for the discrete-event simulator: ordering, determinism,
-// cancellation, periodic processes, the inline callback type, and a
-// randomized index-heap stress test against a multimap reference model.
+// cancellation, periodic processes, the inline callback type, in-place
+// execution, and randomized event-queue stress tests (heap alone, and
+// constant-delay lanes plus heap) against a multimap reference model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <map>
+#include <memory>
 #include <random>
 #include <utility>
 #include <vector>
@@ -142,6 +145,96 @@ TEST(EventQueueTest, RandomizedStressMatchesMultimapModel) {
   EXPECT_TRUE(q.empty());
 }
 
+TEST(EventQueueTest, LaneStressMatchesMultimapModel) {
+  // Pushes mostly at now + d for a few repeated delays, so lanes are
+  // claimed and appended to; the rest are random delays and, rarely,
+  // absolute times below now (legal at this layer), which pull now
+  // backwards so later repeated-delay pushes land below a lane's tail and
+  // must take the heap.
+  // Cancels hit random ids and, often, the earliest live event, i.e. a
+  // lane or heap front. Every pop is checked against a (time, seq) model.
+  using Model = std::multimap<std::pair<SimTime, uint64_t>, EventId>;
+  EventQueue q;
+  Model model;  // -> id.
+  std::map<EventId, Model::iterator> live;
+  std::vector<EventId> issued;
+  std::mt19937_64 rng(20261019);
+  const std::array<SimDuration, 5> kDelays = {0, 5, 40, 300, 7000};
+  SimTime now = 0;  // Time of the last event taken, as the queue sees it.
+  uint64_t seq = 0;
+  uint64_t pushes = 0;
+  EventId last_fired = 0;
+
+  auto pop_check = [&](EventQueue::Ready ready) {
+    ASSERT_FALSE(model.empty());
+    ASSERT_EQ(ready.time, model.begin()->first.first);
+    ASSERT_EQ(ready.id, model.begin()->second)
+        << "pop order diverged from the reference model";
+    EXPECT_FALSE(q.Cancel(ready.id)) << "a taken event is no longer live";
+    q.RunAndRelease(ready.id);
+    ASSERT_EQ(last_fired, ready.id);
+    live.erase(ready.id);
+    model.erase(model.begin());
+    now = ready.time;
+  };
+
+  for (int step = 0; step < 40000; ++step) {
+    const int op = static_cast<int>(rng() % 20);
+    if (op < 8 || model.empty()) {  // Push.
+      SimTime time;
+      const int kind = static_cast<int>(rng() % 250);
+      if (kind < 175) {
+        time = now + kDelays[rng() % kDelays.size()];
+      } else if (kind < 248) {
+        time = now + static_cast<SimDuration>(rng() % 1000);
+      } else {
+        time = std::max<SimTime>(0, now - static_cast<SimDuration>(
+                                              rng() % 60));
+      }
+      auto fire = std::make_shared<EventId>(0);
+      EventId id = q.Push(time, [&last_fired, fire]() { last_fired = *fire; });
+      *fire = id;
+      ++pushes;
+      auto it = model.emplace(std::make_pair(time, seq++), id);
+      ASSERT_TRUE(live.emplace(id, it).second) << "duplicate live id";
+      issued.push_back(id);
+    } else if (op < 15) {  // Take the next event due by a random horizon.
+      const SimTime until = now + static_cast<SimDuration>(rng() % 200);
+      EventQueue::Ready ready;
+      const bool due =
+          !model.empty() && model.begin()->first.first <= until;
+      ASSERT_EQ(q.Next(until, &ready), due);
+      if (due) pop_check(ready);
+    } else if (op < 17) {  // Cancel the front, often a lane head.
+      auto front = model.begin();
+      ASSERT_TRUE(q.Cancel(front->second));
+      live.erase(front->second);
+      model.erase(front);
+    } else {  // Cancel a random (possibly dead) id.
+      EventId id = issued[rng() % issued.size()];
+      auto it = live.find(id);
+      const bool expect_live = it != live.end();
+      ASSERT_EQ(q.Cancel(id), expect_live);
+      if (expect_live) {
+        model.erase(it->second);
+        live.erase(it);
+      }
+    }
+    ASSERT_EQ(q.live_size(), model.size());
+    ASSERT_EQ(q.PeekTime(),
+              model.empty() ? kSimTimeMax : model.begin()->first.first);
+  }
+  while (!model.empty()) {
+    EventQueue::Ready ready;
+    ASSERT_TRUE(q.Next(kSimTimeMax, &ready));
+    pop_check(ready);
+  }
+  EXPECT_TRUE(q.empty());
+  // The lanes did carry the repeated delays: most pushes skipped the heap.
+  EXPECT_LT(q.heap_pushes() * 2, pushes);
+  EXPECT_GT(q.heap_pushes(), 0u);
+}
+
 TEST(EventFnTest, SmallClosuresStayInline) {
   int64_t before = EventFn::heap_allocations();
   int hits = 0;
@@ -271,6 +364,37 @@ TEST(SimulatorTest, DeterministicEventCount) {
     return sim.events_executed();
   };
   EXPECT_EQ(run(), run());
+}
+
+TEST(SimulatorTest, CallbackRunsInPlaceWhileItSchedulesAndCancelsItself) {
+  // The running callback stays in its slab slot: scheduling more events
+  // than one slab chunk holds (the slab grows mid-call) must neither move
+  // nor reuse that slot, so its captures stay intact, and its own id is
+  // already dead. ASan turns a moved or recycled slot into a hard failure.
+  exec::SimBackend sim;
+  constexpr int kScheduled = 1000;  // Several slab chunks.
+  auto self = std::make_shared<EventId>(0);
+  std::vector<int> payload = {7, 8, 9};
+  std::vector<int> fired;
+  bool ran = false;
+  *self = sim.At(10, [&sim, &fired, &ran, self, payload]() {
+    for (int i = 0; i < kScheduled; ++i) {
+      sim.After(i % 3, [&fired, i]() { fired.push_back(i); });
+    }
+    EXPECT_FALSE(sim.Cancel(*self)) << "the running event is not pending";
+    EXPECT_EQ(payload, (std::vector<int>{7, 8, 9}));
+    ran = true;
+  });
+  sim.RunAll();
+  ASSERT_TRUE(ran);
+  ASSERT_EQ(fired.size(), static_cast<size_t>(kScheduled));
+  // (time, seq) order: by delay class first, push order within it.
+  std::vector<int> expected;
+  for (int d = 0; d < 3; ++d) {
+    for (int i = d; i < kScheduled; i += 3) expected.push_back(i);
+  }
+  EXPECT_EQ(fired, expected);
+  EXPECT_EQ(sim.events_executed(), static_cast<uint64_t>(kScheduled + 1));
 }
 
 TEST(SimulatorTest, RunUntilAdvancesClockWithoutEvents) {
