@@ -26,8 +26,8 @@ const char* ParadigmName(Paradigm p);
 
 /// Knobs of the native multithreaded runtime (exec/native_runtime.h); only
 /// read when `EngineConfig::backend == BackendKind::kNative`. Grouped by
-/// concern: the data path (batching/back-pressure), the balance policy
-/// (resource-control plane measurement loop) and thread placement.
+/// concern: the data path (batching/back-pressure) and the balance policy
+/// (resource-control plane measurement loop).
 struct NativeOptions {
   struct DataPathOptions {
     /// Tuples accumulated per cross-thread micro-batch (the native analog
@@ -56,16 +56,6 @@ struct NativeOptions {
     bool use_wall_busy = true;
   };
 
-  /// Optional thread placement (exec/cpu_affinity.h shim; no-op off-Linux).
-  struct PinningOptions {
-    /// Pin every source/worker thread to its own CPU, round-robin over the
-    /// online CPU list. Grown workers are pinned from the same plan.
-    bool enabled = false;
-    /// Order the CPU list package-major so one operator's workers (and the
-    /// shards they own) fill a socket before spilling to the next.
-    bool numa_aware = false;
-  };
-
   /// Worker threads per non-source operator (0 = the operator's
   /// static_executors, or 1 when that is unset). Sources get one thread per
   /// source executor.
@@ -83,7 +73,6 @@ struct NativeOptions {
 
   DataPathOptions data_path;
   BalanceOptions balance;
-  PinningOptions pinning;
 };
 
 struct EngineConfig {

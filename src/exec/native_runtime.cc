@@ -5,7 +5,6 @@
 
 #include "elastic/load_balancer.h"
 #include "engine/single_task_executor.h"  // ApplyOperatorLogic.
-#include "exec/cpu_affinity.h"
 
 namespace elasticutor {
 namespace exec {
@@ -249,51 +248,19 @@ void NativeRuntime::SyncProducerPorts(Producer* p) {
   }
 }
 
-int NativeRuntime::NextPinCpu() {
-  if (pin_cpus_.empty()) return -1;
-  const int cpu = pin_cpus_[next_pin_ % pin_cpus_.size()];
-  ++next_pin_;
-  return cpu;
-}
-
-int NativeRuntime::PackageOf(int cpu) const {
-  for (size_t i = 0; i < pin_cpus_.size(); ++i) {
-    if (pin_cpus_[i] == cpu) return pin_packages_[i];
-  }
-  return -1;
-}
-
 void NativeRuntime::Start() {
   ELASTICUTOR_CHECK_MSG(setup_done_, "Start before Setup");
   ELASTICUTOR_CHECK_MSG(!started_, "Start called twice");
   started_ = true;
-  if (config_->native.pinning.enabled) {
-    const CpuTopology topo =
-        CpuTopology::Detect(config_->native.pinning.numa_aware);
-    for (const auto& c : topo.cpus) {
-      pin_cpus_.push_back(c.cpu);
-      pin_packages_.push_back(c.package);
-    }
-  }
   int threads = static_cast<int>(sources_.size());
   ForEachWorker([&threads](Worker*) { ++threads; });
   live_threads_.store(threads, std::memory_order_release);
   // Workers first so channels have their consumers before sources flood.
-  // Pin in creation order: with a package-major CPU list one operator's
-  // workers land on one socket before spilling to the next.
   ForEachWorker([this](Worker* w) {
     w->thread = std::thread([this, w] { WorkerLoop(w); });
-    w->pinned_cpu = NextPinCpu();
-    if (w->pinned_cpu >= 0 && !PinThreadToCpu(&w->thread, w->pinned_cpu)) {
-      w->pinned_cpu = -1;  // Hint failed (cgroup mask etc.): run unpinned.
-    }
   });
   for (auto& s : sources_) {
     s->thread = std::thread([this, src = s.get()] { SourceLoop(src); });
-    s->pinned_cpu = NextPinCpu();
-    if (s->pinned_cpu >= 0 && !PinThreadToCpu(&s->thread, s->pinned_cpu)) {
-      s->pinned_cpu = -1;
-    }
   }
   if (elastic_ && config_->native.balance.period_ns > 0) {
     const SimDuration period = config_->native.balance.period_ns;
@@ -316,14 +283,11 @@ void NativeRuntime::WaitDrained() {
   if (has_timed_work_) {
     // Elastic migrations, trace sources and the retirement pump are driven
     // by the backend's timer wheel, and timers only fire inside RunUntil —
-    // pump it until every thread is gone AND no migration is still in
-    // flight. The second condition matters for moves requested after the
-    // dataflow drained: with every worker exited those are driver-driven,
-    // and their paced pre-copy chunks and labeling callback only fire
-    // here. (Each RunUntil call sleeps through one 1 ms window, so this is
-    // a condvar-paced wait, not a spin.)
-    while (live_threads_.load(std::memory_order_acquire) > 0 ||
-           MigrationsPending()) {
+    // pump it until every thread is gone. A move in flight keeps both of
+    // its endpoint threads alive, so none is left once they are. (Each
+    // RunUntil call sleeps through one 1 ms window, so this is a
+    // condvar-paced wait, not a spin.)
+    while (live_threads_.load(std::memory_order_acquire) > 0) {
       backend_->RunUntil(backend_->now() + Millis(1));
     }
   }
@@ -701,8 +665,6 @@ Status NativeRuntime::ReassignShard(OperatorId op, ShardId shard,
     return Status::InvalidArgument("destination worker out of range");
   }
   Worker* src = nullptr;
-  int64_t label_id = -1;
-  bool drive_inline = false;
   {
     std::lock_guard<std::mutex> lock(ctrl_mu_);
     if (teardown_) return Status::FailedPrecondition("tearing down");
@@ -720,30 +682,17 @@ Status NativeRuntime::ReassignShard(OperatorId op, ShardId shard,
       // retirement pump both rely on this rejection.
       return Status::FailedPrecondition("destination worker is retiring");
     }
-    if ((src->departing && !src->exited) ||
-        (dst->departing && !dst->exited)) {
-      // Narrow shutdown window: the endpoint committed to exit but its
-      // ports aren't closed yet, so neither the live protocol (it will
-      // never poll again) nor the driver-driven path (its ports are still
-      // hot) can run. The caller just lost the race with drain-down.
-      return Status::FailedPrecondition("endpoint worker is draining");
+    if (src->departing || dst->departing) {
+      // The endpoint's input is exhausted and it committed to exit (or has
+      // exited): it will never poll again, so it can run no protocol step.
+      // Every worker departs once the dataflow drained.
+      return Status::FailedPrecondition("endpoint worker is departing");
     }
-    label_id = protocol_.Request(op, shard, from, to_worker,
-                                 /*moves_state=*/true);
-    drive_inline = src->exited;
-    if (drive_inline) protocol_.Claim(label_id);
+    protocol_.Request(op, shard, from, to_worker, /*moves_state=*/true);
     ctrl_version_.fetch_add(1, std::memory_order_release);
   }
   ctrl_cv_.notify_all();
-  if (drive_inline) {
-    // The old owner's thread is gone (post-drain reshuffle): its store is
-    // quiescent and its producers all closed, so the caller's thread can
-    // run the source-side duties directly — the protocol degenerates to a
-    // synchronous handoff (or a paced one driven by the timer wheel).
-    StartPrecopy(src, label_id, shard, /*quiescent=*/true);
-  } else {
-    src->input->Kick();  // An idle owner must wake up to claim the move.
-  }
+  src->input->Kick();  // An idle owner must wake up to claim the move.
   return Status::OK();
 }
 
@@ -806,7 +755,6 @@ Status NativeRuntime::GrowWorkers(OperatorId op, int n) {
         for (MpscChannel* ch : port.channels) ch->AddProducer();
         ++elastic_ops_[port.to_op]->open_producers;
       }
-      w->pinned_cpu = NextPinCpu();
       Worker* raw = w.get();
       workers_[op][count + k] = std::move(w);
       live_threads_.fetch_add(1, std::memory_order_relaxed);
@@ -821,9 +769,6 @@ Status NativeRuntime::GrowWorkers(OperatorId op, int n) {
   ctrl_cv_.notify_all();
   for (Worker* w : grown) {
     w->thread = std::thread([this, w] { WorkerLoop(w); });
-    if (w->pinned_cpu >= 0 && !PinThreadToCpu(&w->thread, w->pinned_cpu)) {
-      w->pinned_cpu = -1;
-    }
   }
   return Status::OK();
 }
@@ -947,25 +892,9 @@ bool NativeRuntime::PumpRetirement() {
           }
         }
         if (shards.empty()) continue;
-        // NUMA preference: evacuate onto the victim's own package when any
-        // active worker lives there (keeps the shard's consumers near its
-        // producers' memory); fall back to the full active set.
-        std::vector<bool> dest = allowed;
-        const int victim_pkg = PackageOf(victim->pinned_cpu);
-        if (victim_pkg >= 0) {
-          std::vector<bool> same(count, false);
-          bool any_same = false;
-          for (int i = 0; i < count; ++i) {
-            if (allowed[i] &&
-                PackageOf(worker_at(op, i)->pinned_cpu) == victim_pkg) {
-              same[i] = true;
-              any_same = true;
-            }
-          }
-          if (any_same) dest = std::move(same);
-        }
         auto moves = balance::PlanEvacuation(shards, shard_load, &slot_load,
-                                             victim->index, dest, &capacity);
+                                             victim->index, allowed,
+                                             &capacity);
         if (!moves.ok()) continue;  // No destination this round; retry.
         for (const auto& mv : moves.value()) {
           planned.push_back({op, mv.shard, mv.to});
@@ -1019,14 +948,12 @@ void NativeRuntime::StartPrecopy(Worker* w, int64_t label_id, ShardId shard,
 }
 
 void NativeRuntime::BeginLabeling(OperatorId op, int64_t label_id) {
-  Worker* exited_src = nullptr;
   {
     std::lock_guard<std::mutex> lock(ctrl_mu_);
     ElasticOp* eo = elastic_ops_[op].get();
     // Every open producer owes one marker. With none open the backlog is
-    // whatever already sits in the old owner's channel: if that thread
-    // exited the drain is vacuous and finalizes here; otherwise its
-    // epilogue finalizes once the channel is exhausted.
+    // whatever already sits in the old owner's channel, and its epilogue
+    // finalizes once the channel is exhausted.
     const ReassignProtocol::Move& m =
         protocol_.Flip(label_id, eo->open_producers, backend_->now());
     // The flip: raise held to name the destination first (relaxed), then
@@ -1038,11 +965,7 @@ void NativeRuntime::BeginLabeling(OperatorId op, int64_t label_id) {
     // the old owner drains) never makes it hold.
     eo->held[m.shard].store(m.to + 1, std::memory_order_relaxed);
     eo->owner[m.shard].store(m.to, std::memory_order_release);
-    if (m.barrier_armed) {
-      label_cmds_.push_back({op, m.from, label_id});
-    } else if (worker_at(op, m.from)->exited) {
-      exited_src = worker_at(op, m.from);
-    }
+    if (m.barrier_armed) label_cmds_.push_back({op, m.from, label_id});
     ctrl_version_.fetch_add(1, std::memory_order_release);
   }
   ctrl_cv_.notify_all();
@@ -1052,9 +975,6 @@ void NativeRuntime::BeginLabeling(OperatorId op, int64_t label_id) {
   // this command was published are covered (they owe no duty for it —
   // their cmd_cursor starts past it — but the wake-up is harmless).
   ForEachWorker([](Worker* w) { w->input->Kick(); });
-  if (exited_src != nullptr) {
-    DrainComplete(exited_src, label_id, /*quiescent=*/true);
-  }
 }
 
 void NativeRuntime::OnLabel(Worker* w, int64_t label_id) {
@@ -1068,7 +988,6 @@ void NativeRuntime::DrainComplete(Worker* w, int64_t label_id,
                                   bool quiescent) {
   MigrationEngine::Handle handle;
   ProcessStateStore* staging = nullptr;
-  bool on_worker_thread = false;
   {
     std::lock_guard<std::mutex> lock(ctrl_mu_);
     const ReassignProtocol::Move* m =
@@ -1084,46 +1003,27 @@ void NativeRuntime::DrainComplete(Worker* w, int64_t label_id,
     }
     handle = m->handle;
     staging = &st.store;
-    on_worker_thread = !w->exited;
   }
   // Hand pre-flip emissions downstream before the new owner starts
   // producing for the same keys — bounds how long they linger in partial
   // batches (per-channel FIFO still carries the ordering guarantee).
   FlushPorts(&w->ports);
-  migration_->Finalize(
-      handle, staging,
-      [this, label_id, on_worker_thread](const MigrationStats&) {
-        MigrationReady(label_id, on_worker_thread);
-      });
+  migration_->Finalize(handle, staging,
+                       [this, label_id](const MigrationStats&) {
+                         MigrationReady(label_id);
+                       });
 }
 
-void NativeRuntime::MigrationReady(int64_t label_id, bool on_worker_thread) {
-  Worker* exited_dst = nullptr;
+void NativeRuntime::MigrationReady(int64_t label_id) {
   MpscChannel* dst_channel = nullptr;
   {
     std::lock_guard<std::mutex> lock(ctrl_mu_);
     const ReassignProtocol::Move& m = protocol_.Staged(label_id);
-    Worker* dst = worker_at(m.op, m.to);
-    if (dst->exited) {
-      exited_dst = dst;  // Quiescent: install from this thread.
-    } else {
-      dst_channel = dst->input.get();
-    }
+    dst_channel = worker_at(m.op, m.to)->input.get();
     ctrl_version_.fetch_add(1, std::memory_order_release);
   }
   ctrl_cv_.notify_all();
-  if (dst_channel != nullptr) dst_channel->Kick();
-  if (exited_dst == nullptr) return;
-  // An exited worker's store belongs to the driver thread, which may be
-  // moving another of its shards right now: a worker hands the install over.
-  EventFn install = [this, exited_dst, label_id] {
-    InstallMigratedShard(exited_dst, label_id);
-  };
-  if (on_worker_thread) {
-    backend_->After(0, std::move(install));
-  } else {
-    install();
-  }
+  dst_channel->Kick();  // The destination claims the install on its poll.
 }
 
 void NativeRuntime::InstallMigratedShard(Worker* w, int64_t label_id) {
@@ -1163,7 +1063,7 @@ void NativeRuntime::InstallMigratedShard(Worker* w, int64_t label_id) {
     std::lock_guard<std::mutex> lock(ctrl_mu_);
     pause_ns_.push_back(backend_->now() - protocol_.Complete(label_id).flip_at);
   }
-  ctrl_cv_.notify_all();  // Epilogue waiters and the driver re-check.
+  ctrl_cv_.notify_all();  // Epilogue waiters re-check.
   // A retiring old owner may be idle-blocked in Pop with this migration
   // the last thing referencing it: wake it to re-run its exit test.
   worker_at(w->op, from)->input->Kick();
@@ -1310,7 +1210,6 @@ TelemetrySnapshot NativeRuntime::SampleTelemetry() const {
       wt.processed = w->pub_processed.load(std::memory_order_relaxed);
       wt.sink_tuples = w->pub_sink.load(std::memory_order_relaxed);
       wt.speed = eo != nullptr ? eo->speed_ewma[i] : 0.0;
-      wt.pinned_cpu = w->pinned_cpu;
       wt.retiring = w->retiring.load(std::memory_order_relaxed);
       wt.exited = w->exited;
       snap.total_processed += wt.processed;
@@ -1337,7 +1236,6 @@ TelemetrySnapshot NativeRuntime::SampleTelemetry() const {
     st.op = s->op;
     st.index = s->index;
     st.emitted = s->pub_generated.load(std::memory_order_relaxed);
-    st.pinned_cpu = s->pinned_cpu;
     snap.source_emitted += st.emitted;
     snap.sources.push_back(st);
   }
@@ -1362,13 +1260,6 @@ int64_t NativeRuntime::reassignments_done() const {
 int64_t NativeRuntime::migrations_in_flight() const {
   std::lock_guard<std::mutex> lock(ctrl_mu_);
   return protocol_.in_flight();
-}
-
-bool NativeRuntime::MigrationsPending() const {
-  if (!elastic_) return false;
-  std::lock_guard<std::mutex> lock(ctrl_mu_);
-  // Emergency teardown abandons in-flight migrations; don't wait on them.
-  return !teardown_ && protocol_.in_flight() > 0;
 }
 
 std::vector<SimDuration> NativeRuntime::migration_pauses() const {

@@ -91,17 +91,13 @@
 //   exits only when it owns no shard and no in-flight migration references
 //   it — evacuation-before-exit, so zero tuples are lost or reordered.
 //
-// * Placement. With native.pinning.enabled each thread is pinned
-//   round-robin over the online CPU list (package-major when numa_aware,
-//   so an operator's workers — and the shards they own — fill one socket
-//   before spilling); the retirement pump prefers same-package
-//   destinations. Pinning is a hint: a failed pin runs unpinned.
-//
 // Threading contract: worker state (stores, rngs, counters) is strictly
-// thread-local while running; cross-thread communication happens only
-// through the channels and the control board (ctrl_mu_ + atomics above).
-// Once a worker exited, its state belongs to the driver thread, which runs
-// the protocol steps the worker no longer can.
+// thread-local; cross-thread communication happens only through the
+// channels and the control board (ctrl_mu_ + atomics above). Shards move
+// only between live workers: a move's source and destination threads do
+// every step that touches their stores, and neither may depart while the
+// move references it (WorkerEpilogue), so no other thread touches a
+// worker's store before WaitDrained() returned.
 // Introspection surfaces:
 //  * SampleTelemetry() — live (fresh to one micro-batch) and exact after
 //    WaitDrained(); the canonical surface for counts, busy time and the
@@ -162,9 +158,8 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
   Status Setup();
 
   /// Launches all threads (and the periodic balance tick when
-  /// native.balance.period_ns is set), pinning them when
-  /// native.pinning.enabled. Sources run until their SourceSpec::max_tuples
-  /// budget is exhausted (0 = until StopSources).
+  /// native.balance.period_ns is set). Sources run until their
+  /// SourceSpec::max_tuples budget is exhausted (0 = until StopSources).
   void Start();
 
   /// Asks sources to stop after their current tuple; the dataflow then
@@ -172,9 +167,11 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
   void StopSources();
 
   /// Blocks until every thread has exited, then merges per-worker counters
-  /// and sink-latency histograms into EngineMetrics. While elastic
-  /// migrations or trace sources need the timer wheel, pumps the backend so
-  /// timers keep firing. Idempotent.
+  /// and sink-latency histograms into EngineMetrics. While threads live and
+  /// elastic migrations or trace sources need the timer wheel, pumps the
+  /// backend so timers keep firing (a move keeps both of its endpoint
+  /// threads alive, so none is in flight once they are all gone).
+  /// Idempotent.
   void WaitDrained();
 
   // ---- Resource-control plane ----
@@ -199,10 +196,12 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
   /// Initiates the consistent live reassignment of `shard` of operator
   /// `op` to worker thread `to_worker`. Asynchronous: returns once the move
   /// is posted (ReassignProtocol::Phase::kRequested). No-op OK when the
-  /// shard already lives there; fails while another move of the same shard
-  /// is in flight, and when the destination is retiring. Callable any time
-  /// between Start() and WaitDrained() — a shard whose worker threads
-  /// already exited moves synchronously.
+  /// shard already lives there. FailedPrecondition while another move of
+  /// the same shard is in flight, when the destination is retiring, and
+  /// when the source or the destination worker is departing (its input is
+  /// exhausted and no move holds it; every exit passes there) — shards
+  /// move only between live workers, so after the drain every move is
+  /// rejected and changes nothing.
   Status ReassignShard(OperatorId op, ShardId shard, int to_worker);
 
   /// Current owner worker of a shard (acquire load; callable while live).
@@ -293,8 +292,6 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
     /// read lock-free as the worker's fast exit gate). Sticky: a retired
     /// worker is never again a valid migration destination.
     std::atomic<bool> retiring{false};
-    /// CPU this thread was pinned to (-1 = unpinned).
-    int pinned_cpu = -1;
     /// Post-flip tuples of shards whose state has not arrived yet, in
     /// arrival order (replayed at install).
     std::unordered_map<ShardId, std::vector<Tuple>> hold;
@@ -302,8 +299,7 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
     /// Shutdown handshake, guarded by ctrl_mu_. `departing` is set
     /// atomically with the epilogue's final no-pending-migrations check
     /// (ReassignShard rejects a departing endpoint — the worker will never
-    /// poll again); `exited` is set once the ports are closed, after which
-    /// the driver may touch the worker's store/ports directly.
+    /// poll again); `exited` is set once the ports are closed.
     bool departing = false;
     bool exited = false;
     std::thread thread;
@@ -315,7 +311,6 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
     Rng rng{0, 0};
     int64_t generated = 0;
     std::atomic<int64_t> pub_generated{0};  // Live telemetry.
-    int pinned_cpu = -1;
     // Trace-mode pacing: the backend timer sets `fired`, the source thread
     // waits on the condvar (with a poll fallback so StopSources is prompt).
     std::mutex pace_mu;
@@ -404,8 +399,7 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
   /// Flushes the partial batch toward `from`, then pushes a label marker
   /// behind it.
   void PushLabel(ProducerPort* port, int from, int64_t label_id);
-  /// Source worker (or the driver, for an exited one): MigrationEngine::Begin
-  /// on its own store.
+  /// Source worker: MigrationEngine::Begin on its own store.
   void StartPrecopy(Worker* w, int64_t label_id, ShardId shard,
                     bool quiescent);
   /// Pre-copy complete (worker thread or driver timer): flip routing, arm
@@ -418,9 +412,8 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
   /// delta. `quiescent`: `w` consumed its whole input (see PollWorkerControl).
   void DrainComplete(Worker* w, int64_t label_id, bool quiescent);
   /// Finalize landed (worker thread or driver timer): stage ready, wake the
-  /// destination. An exited destination is installed by the driver thread,
-  /// which owns every exited worker's state (`on_worker_thread`: hand over).
-  void MigrationReady(int64_t label_id, bool on_worker_thread);
+  /// destination.
+  void MigrationReady(int64_t label_id);
   /// Destination worker: install the shard, replay held tuples.
   void InstallMigratedShard(Worker* w, int64_t label_id);
   /// Worker shutdown: wait until no in-flight migration references this
@@ -442,9 +435,6 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
   /// no in-flight migration references it (the channel then provably
   /// contains nothing the protocol still needs — see ShrinkWorkers).
   bool RetireReady(Worker* w);
-  /// True while WaitDrained must keep pumping the timer wheel for
-  /// driver-driven migrations (moves requested after every worker exited).
-  bool MigrationsPending() const;
 
   /// Routes one tuple into the port's partial batch for its destination
   /// worker, pushing the batch when full. Returns false iff the channel was
@@ -495,11 +485,6 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
       for (int i = 0; i < count; ++i) f(workers_[op][i].get());
     }
   }
-  /// Next CPU of the pinning plan (-1 when pinning is off). Caller holds
-  /// ctrl_mu_ or is in single-threaded Start.
-  int NextPinCpu();
-  /// Package of a pinned CPU (-1 unknown / unpinned).
-  int PackageOf(int cpu) const;
 
   const Topology* topology_;
   const EngineConfig* config_;
@@ -543,11 +528,6 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
   uint32_t next_origin_ = 1;
   /// Retirement pump armed (one periodic timer serves all operators).
   bool retire_pump_armed_ = false;
-  /// Pinning plan: online CPUs in assignment order (package-major when
-  /// numa_aware) and the round-robin cursor.
-  std::vector<int> pin_cpus_;
-  std::vector<int> pin_packages_;  // Parallel to pin_cpus_.
-  size_t next_pin_ = 0;
 
   std::atomic<int> live_threads_{0};
   std::atomic<bool> stop_sources_{false};

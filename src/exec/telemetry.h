@@ -114,10 +114,9 @@ struct WorkerTelemetry {
   /// operator), EWMA-smoothed; what the balancer feeds PlanMoves as
   /// capacity. 0 while unmeasured (treated as nominal by consumers).
   double speed = 0.0;
-  /// CPU the thread is pinned to (-1 = unpinned / sim).
-  int pinned_cpu = -1;
   /// Lifecycle: a retiring worker is being evacuated by ShrinkWorkers and
-  /// accepts no new shards; an exited worker's thread is gone.
+  /// accepts no new shards; an exited worker's thread is gone, and it is
+  /// never again the source or destination of a move.
   bool retiring = false;
   bool exited = false;
 };
@@ -136,7 +135,6 @@ struct SourceTelemetry {
   OperatorId op = -1;
   int index = -1;
   int64_t emitted = 0;
-  int pinned_cpu = -1;
 };
 
 /// A point-in-time sample of the whole execution. All counters are

@@ -120,7 +120,7 @@ void DynamicScheduler::RunOnce() {
   std::vector<int> targets = ComputeTargets();
   // Deadband: a ±1-core difference is within measurement noise; chasing it
   // would churn shards every cycle. Exception: a starved executor gets its
-  // increase — pinning it would cap the whole pipeline at
+  // increase — holding it back would cap the whole pipeline at
   // min_j(µ_j·k_j / demand-share_j). Starvation is offered demand at or
   // beyond current capacity (ρ = λ/µk ≳ 1), *not* busy-time utilization:
   // back-pressure retry gaps keep even a drowning executor's tasks

@@ -211,7 +211,6 @@ TEST(EngineTest, SimBackendServesTelemetryAndHasNoWorkerPool) {
   int64_t worker_processed = 0;
   for (const auto& wt : snap.workers) {
     EXPECT_EQ(wt.op, workload->calculator);
-    EXPECT_EQ(wt.pinned_cpu, -1);  // No threads to pin in the simulator.
     EXPECT_FALSE(wt.retiring);
     EXPECT_GT(wt.speed, 0.0);  // TaskSpeedOn: 1.0 nominal, always > 0.
     worker_processed += wt.processed;

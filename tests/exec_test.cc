@@ -17,7 +17,6 @@
 #include "elasticutor/elasticutor.h"
 #include "engine/engine_config.h"
 #include "exec/batch_pool.h"
-#include "exec/cpu_affinity.h"
 #include "exec/mpsc_channel.h"
 #include "exec/native_backend.h"
 #include "exec/sim_backend.h"
@@ -748,40 +747,6 @@ TEST(NativeTelemetryTest, AnchoredSinkLatencyMatchesSteadyClock) {
   const double logic_mean =
       static_cast<double>(*latency_sum) / static_cast<double>(kTuples);
   EXPECT_NEAR(latency.mean(), logic_mean, 3000.0);
-}
-
-TEST(CpuAffinityTest, DetectsAtLeastOneCpuAndGroupsPackages) {
-  const exec::CpuTopology topo = exec::CpuTopology::Detect(false);
-  ASSERT_FALSE(topo.cpus.empty());
-  for (const auto& c : topo.cpus) EXPECT_GE(c.cpu, 0);
-  // numa_aware ordering: package ids must be non-interleaved (each package's
-  // CPUs contiguous in the list).
-  const exec::CpuTopology numa = exec::CpuTopology::Detect(true);
-  ASSERT_EQ(numa.cpus.size(), topo.cpus.size());
-  for (size_t i = 2; i < numa.cpus.size(); ++i) {
-    if (numa.cpus[i].package == numa.cpus[i - 2].package) {
-      EXPECT_EQ(numa.cpus[i - 1].package, numa.cpus[i].package)
-          << "package ids interleave at index " << i;
-    }
-  }
-}
-
-TEST(CpuAffinityTest, PinThreadToCpuMatchesSupportClaim) {
-  std::atomic<bool> stop{false};
-  std::thread t([&stop] {
-    while (!stop.load()) std::this_thread::yield();
-  });
-  const exec::CpuTopology topo = exec::CpuTopology::Detect(false);
-  const bool pinned = exec::PinThreadToCpu(&t, topo.cpus.front().cpu);
-  if (exec::PinningSupported()) {
-    EXPECT_TRUE(pinned);  // First online CPU is always a legal target.
-  } else {
-    EXPECT_FALSE(pinned);  // The shim declines rather than pretending.
-  }
-  // Pinning to a CPU that cannot exist fails cleanly everywhere.
-  EXPECT_FALSE(exec::PinThreadToCpu(&t, 1 << 20));
-  stop.store(true);
-  t.join();
 }
 
 TEST(ExecutionBackendTest, UnboundResourcePlaneYieldsEmptySnapshot) {

@@ -9,6 +9,7 @@
 // or the hold/replay path shows up here first).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <random>
 #include <vector>
@@ -303,10 +304,10 @@ TEST(NativeElasticStressTest, WorkerScalingSoakConservesEveryTuple) {
   EXPECT_GT(grown_seen, 0);
 }
 
-TEST(NativeElasticStressTest, MovesAfterDrainStillRelocateState) {
-  // After the dataflow quiesced the worker threads are gone; ReassignShard
-  // falls back to the driver-driven synchronous path. Sweep every shard to
-  // worker 0 and verify the consolidated stores.
+TEST(NativeElasticStressTest, MovesAfterDrainAreRejected) {
+  // Shards move only between live workers. Once the dataflow drained every
+  // worker has departed, so every move is refused up front and changes
+  // nothing: no owner, store, counter or in-flight move.
   MicroWorkload workload = BuildStressWorkload(/*seed=*/31);
   workload.topology.mutable_spec(workload.generator).source.max_tuples = 500;
   Engine engine(workload.topology, StressConfig());
@@ -316,33 +317,36 @@ TEST(NativeElasticStressTest, MovesAfterDrainStillRelocateState) {
 
   exec::NativeRuntime* native = engine.native();
   const OperatorId calc = workload.calculator;
-  for (int s = 0; s < native->num_shards(calc); ++s) {
-    ASSERT_TRUE(native->ReassignShard(calc, s, 0).ok());
+  const int shards = native->num_shards(calc);
+  const int workers = native->num_workers(calc);
+  auto shard_sets = [&] {
+    std::vector<std::vector<ShardId>> sets(workers);
+    for (int w = 0; w < workers; ++w) {
+      native->worker_store(calc, w)->ForEachShard(
+          [&](ShardId shard, const ShardState&) { sets[w].push_back(shard); });
+      std::sort(sets[w].begin(), sets[w].end());
+    }
+    return sets;
+  };
+  std::vector<int> owners(shards);
+  for (int s = 0; s < shards; ++s) owners[s] = native->shard_owner(calc, s);
+  const std::vector<std::vector<ShardId>> stores = shard_sets();
+  const int64_t done = native->reassignments_done();
+  ASSERT_EQ(native->migrations_in_flight(), 0);
+
+  for (int s = 0; s < shards; ++s) {
+    const Status st =
+        native->ReassignShard(calc, s, (owners[s] + 1) % workers);
+    EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << "shard " << s;
   }
-  // Paced copies still ride the timer wheel; pump 1 ms windows until the
-  // cohort lands (wall-clock scheduling jitter can push a chunk timer just
-  // past a single window's deadline on a loaded machine).
-  for (int pumps = 0; native->migrations_in_flight() > 0 && pumps < 200;
-       ++pumps) {
-    engine.RunFor(Millis(1));
+  engine.RunFor(Millis(1));  // Any timer a move had armed would fire here.
+
+  for (int s = 0; s < shards; ++s) {
+    EXPECT_EQ(native->shard_owner(calc, s), owners[s]) << "shard " << s;
   }
+  EXPECT_EQ(shard_sets(), stores);
+  EXPECT_EQ(native->reassignments_done(), done);
   EXPECT_EQ(native->migrations_in_flight(), 0);
-  int64_t entries_on_zero = 0;
-  for (int s = 0; s < native->num_shards(calc); ++s) {
-    EXPECT_EQ(native->shard_owner(calc, s), 0);
-  }
-  native->worker_store(calc, 0)->ForEachShard(
-      [&](ShardId, const ShardState& state) {
-        entries_on_zero += static_cast<int64_t>(state.entries.size());
-      });
-  EXPECT_GT(entries_on_zero, 0);
-  for (int w = 1; w < native->num_workers(calc); ++w) {
-    native->worker_store(calc, w)->ForEachShard(
-        [&](ShardId shard, const ShardState&) {
-          ADD_FAILURE() << "shard " << shard << " left behind on worker "
-                        << w;
-        });
-  }
 }
 
 TEST(NativeElasticStressTest, WorkerScalingErrorPaths) {

@@ -282,6 +282,9 @@ TEST(NativeEquivalenceTest, SsePerShardStateAndCountsMatchSim) {
 
 TEST(NativeEquivalenceTest, NativeRunsElasticParadigm) {
   MicroWorkload workload = BuildMicroForEquivalence(/*seed=*/3);
+  // Unbounded sources: the moves below must find live workers however fast
+  // the host would drain a fixed budget.
+  workload.topology.mutable_spec(workload.generator).source.max_tuples = 0;
   EngineConfig config = SmallStaticConfig();
   config.backend = exec::BackendKind::kNative;
   config.paradigm = Paradigm::kElastic;
@@ -299,15 +302,26 @@ TEST(NativeEquivalenceTest, NativeRunsElasticParadigm) {
     // in-transition skips are fine.
     (void)native->ReassignShard(calc, s, (s + 1) % 4);
   }
+  for (int rounds = 0; native->reassignments_done() == 0; ++rounds) {
+    ASSERT_LT(rounds, 50000) << "no move completed";
+    engine.RunFor(Micros(200));
+  }
+  engine.StopSources();
   engine.RunToCompletion();
-  EXPECT_EQ(engine.SampleTelemetry().sink_count, kMicroSources * kMicroBudget);
+  const exec::TelemetrySnapshot drained = engine.SampleTelemetry();
+  EXPECT_GT(drained.source_emitted, 0);
+  EXPECT_EQ(drained.sink_count, drained.source_emitted);
   EXPECT_GT(native->reassignments_done(), 0);
   EXPECT_EQ(native->migrations_in_flight(), 0);
-  // Post-drain moves still work (worker threads have exited).
-  const int target = native->shard_owner(calc, 0) == 0 ? 1 : 0;
-  ASSERT_TRUE(native->ReassignShard(calc, 0, target).ok());
+  // Shards move only between live workers: after the drain a move is
+  // refused and changes nothing.
+  const int owner = native->shard_owner(calc, 0);
+  const int64_t done = native->reassignments_done();
+  EXPECT_EQ(native->ReassignShard(calc, 0, owner == 0 ? 1 : 0).code(),
+            StatusCode::kFailedPrecondition);
   engine.RunFor(Millis(1));
-  EXPECT_EQ(native->shard_owner(calc, 0), target);
+  EXPECT_EQ(native->shard_owner(calc, 0), owner);
+  EXPECT_EQ(native->reassignments_done(), done);
   EXPECT_EQ(native->migrations_in_flight(), 0);
 }
 
