@@ -118,12 +118,10 @@ class ElasticExecutor : public ExecutorBase {
   double CurrentImbalance() const;
 
   /// Smoothed service-rate estimate (1.0 = nominal) of the slowest active
-  /// task on `node`; 1.0 when the node hosts no task. Tests/benches use it
-  /// to observe straggler detection.
-  /// DEPRECATED as an introspection surface: prefer the backend-independent
-  /// Engine::SampleTelemetry() (WorkerTelemetry::speed carries the same
-  /// signal; see exec/telemetry.h). Kept for one release — the balancer
-  /// itself still consumes the estimate internally.
+  /// task on `node`; 1.0 when the node hosts no task. The sim's
+  /// Engine::SampleTelemetry() reports it for the home node only
+  /// (WorkerTelemetry::speed); tests observe straggler detection on any
+  /// node, including tasks away from home, through this accessor.
   double TaskSpeedOn(NodeId node) const;
 
   // ---- Introspection (tests/benches) ----

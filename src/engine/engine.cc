@@ -28,66 +28,48 @@ const char* ParadigmName(Paradigm p) {
 
 namespace {
 
-/// Sim-side TelemetrySource: walks every executor's ExecutorMetrics (and the
-/// spouts' emitted counts) into one TelemetrySnapshot, so controllers sample
-/// load through the same backend surface on both backends. Per-shard rows
-/// stay empty — the simulator's shard accounting lives inside the elastic
-/// executors; per-worker busy_ns is the figure-level signal here.
-class SimTelemetryAdapter final : public exec::TelemetrySource {
- public:
-  SimTelemetryAdapter(const exec::ExecutionBackend* backend,
-                      const Topology* topology, Runtime* runtime,
-                      const EngineMetrics* metrics, bool elastic)
-      : backend_(backend),
-        topology_(topology),
-        runtime_(runtime),
-        metrics_(metrics),
-        elastic_(elastic) {}
-
-  exec::TelemetrySnapshot SampleTelemetry() const override {
-    exec::TelemetrySnapshot snap;
-    snap.sampled_at = backend_->now();
-    for (OperatorId op = 0; op < topology_->num_operators(); ++op) {
-      const bool is_source = topology_->spec(op).is_source;
-      const bool is_sink = topology_->is_sink(op);
-      for (const auto& ex : runtime_->executors(op)) {
-        if (is_source) {
-          exec::SourceTelemetry st;
-          st.op = op;
-          st.index = ex->index();
-          st.emitted =
-              std::static_pointer_cast<SpoutExecutor>(ex)->emitted();
-          snap.source_emitted += st.emitted;
-          snap.sources.push_back(st);
-          continue;
-        }
-        exec::WorkerTelemetry wt;
-        wt.op = op;
-        wt.index = ex->index();
-        wt.busy_ns = ex->metrics().busy_ns;
-        wt.processed = ex->metrics().processed;
-        if (is_sink) wt.sink_tuples = ex->metrics().processed;
-        if (elastic_) {
-          auto el = std::static_pointer_cast<ElasticExecutor>(ex);
-          wt.speed = el->TaskSpeedOn(el->home_node());
-          snap.reassignments_done += el->reassignments_done();
-        }
-        snap.total_processed += wt.processed;
-        snap.total_busy_ns += wt.busy_ns;
-        snap.workers.push_back(wt);
+/// The sim's TelemetrySnapshot: one worker row per executor from its
+/// ExecutorMetrics, one source row per spout. Per-shard rows stay empty —
+/// the simulator's shard accounting lives inside the elastic executors.
+exec::TelemetrySnapshot SampleSimTelemetry(SimTime now,
+                                           const Topology& topology,
+                                           const Runtime& runtime,
+                                           const EngineMetrics& metrics,
+                                           bool elastic) {
+  exec::TelemetrySnapshot snap;
+  snap.sampled_at = now;
+  for (OperatorId op = 0; op < topology.num_operators(); ++op) {
+    const bool is_source = topology.spec(op).is_source;
+    const bool is_sink = topology.is_sink(op);
+    for (const auto& ex : runtime.executors(op)) {
+      if (is_source) {
+        exec::SourceTelemetry st;
+        st.op = op;
+        st.index = ex->index();
+        st.emitted = std::static_pointer_cast<SpoutExecutor>(ex)->emitted();
+        snap.source_emitted += st.emitted;
+        snap.sources.push_back(st);
+        continue;
       }
+      exec::WorkerTelemetry wt;
+      wt.op = op;
+      wt.index = ex->index();
+      wt.busy_ns = ex->metrics().busy_ns;
+      wt.processed = ex->metrics().processed;
+      if (is_sink) wt.sink_tuples = ex->metrics().processed;
+      if (elastic) {
+        auto el = std::static_pointer_cast<ElasticExecutor>(ex);
+        wt.speed = el->TaskSpeedOn(el->home_node());
+        snap.reassignments_done += el->reassignments_done();
+      }
+      snap.total_processed += wt.processed;
+      snap.total_busy_ns += wt.busy_ns;
+      snap.workers.push_back(wt);
     }
-    snap.sink_count = metrics_->sink_count();
-    return snap;
   }
-
- private:
-  const exec::ExecutionBackend* backend_;
-  const Topology* topology_;
-  Runtime* runtime_;
-  const EngineMetrics* metrics_;
-  const bool elastic_;
-};
+  snap.sink_count = metrics.sink_count();
+  return snap;
+}
 
 }  // namespace
 
@@ -288,10 +270,6 @@ Status Engine::Setup() {
         static_cast<exec::NativeBackend*>(exec_.get()), migration_.get(),
         metrics_.get());
     ELASTICUTOR_RETURN_NOT_OK(native_->Setup());
-    // The runtime is both halves of the resource-control plane: the
-    // telemetry source (wall-busy counters) and the worker pool
-    // (GrowWorkers/ShrinkWorkers actuation).
-    exec_->BindResourcePlane(native_.get(), native_.get());
     setup_done_ = true;
     return Status::OK();
   }
@@ -332,12 +310,6 @@ Status Engine::Setup() {
     rc_ = std::make_unique<RcController>(runtime_.get(), cluster_.get(),
                                          ledger_.get(), managed);
   }
-  // Telemetry half only: simulated "worker scaling" is the elastic
-  // executors' AddCore/RemoveCore, not a thread pool.
-  sim_telemetry_ = std::make_unique<SimTelemetryAdapter>(
-      exec_.get(), &topology_, runtime_.get(), metrics_.get(),
-      config_.paradigm == Paradigm::kElastic);
-  exec_->BindResourcePlane(sim_telemetry_.get(), /*pool=*/nullptr);
   setup_done_ = true;
   return Status::OK();
 }
@@ -355,6 +327,13 @@ void Engine::Start() {
   }
   if (scheduler_ && config_.scheduler.enabled) scheduler_->Start();
   if (rc_ && config_.rc.enabled) rc_->Start();
+}
+
+exec::TelemetrySnapshot Engine::SampleTelemetry() const {
+  if (!setup_done_) return {};
+  if (native_ != nullptr) return native_->SampleTelemetry();
+  return SampleSimTelemetry(exec_->now(), topology_, *runtime_, *metrics_,
+                            config_.paradigm == Paradigm::kElastic);
 }
 
 void Engine::ResetMetricsAfterWarmup() {

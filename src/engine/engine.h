@@ -5,8 +5,11 @@
 // The backend (EngineConfig::backend) decides what actually executes:
 //  * kSim (default)  — discrete-event simulation, deterministic; all
 //    paradigms, all tests/figures.
-//  * kNative         — real OS threads via exec::NativeRuntime; static
-//    dataflow only, wall-clock time. Same Engine API.
+//  * kNative         — real OS threads via exec::NativeRuntime (native());
+//    static and elastic paradigms, wall-clock time. Same Engine API.
+//
+// On both, SampleTelemetry() measures the execution; only the native
+// runtime resizes a thread pool (native()->GrowWorkers/ShrinkWorkers).
 //
 //   Engine engine(topology, config);
 //   ELASTICUTOR_CHECK(engine.Setup().ok());
@@ -28,6 +31,7 @@
 #include "engine/spout.h"
 #include "engine/topology.h"
 #include "exec/execution_backend.h"
+#include "exec/telemetry.h"
 #include "net/network.h"
 
 namespace elasticutor {
@@ -93,17 +97,14 @@ class Engine {
         EventFn::heap_allocations(), net_->messages_sent());
   }
 
-  // ---- Resource-control plane (exec/telemetry.h, exec/worker_pool.h) ----
-  /// Point-in-time sample of the execution, backend-independent: the native
-  /// runtime serves it from lock-free wall-busy counters; the sim serves it
-  /// from the executors' ExecutorMetrics. See telemetry.h for the liveness
-  /// contract.
-  exec::TelemetrySnapshot SampleTelemetry() const {
-    return exec_->SampleTelemetry();
-  }
-  /// Runtime worker scaling; null under the sim backend (AddCore/RemoveCore
-  /// on the elastic executors is the simulated actuation path).
-  exec::WorkerPool* worker_pool() const { return exec_->worker_pool(); }
+  // ---- Resource-control plane ----
+  /// Point-in-time sample of the execution (exec/telemetry.h documents the
+  /// liveness contract): the native runtime serves it from lock-free
+  /// wall-busy counters; the sim walks the executors' ExecutorMetrics.
+  /// Empty before Setup(). Worker scaling is native-only:
+  /// native()->GrowWorkers/ShrinkWorkers (the sim's analog is AddCore/
+  /// RemoveCore on the elastic executors).
+  exec::TelemetrySnapshot SampleTelemetry() const;
 
   // ---- Accessors ----
   /// The execution backend (virtual clock + deferred-call scheduling).
@@ -156,9 +157,6 @@ class Engine {
   /// backend: its destructor (emergency teardown) joins worker threads that
   /// touch all three.
   std::unique_ptr<exec::NativeRuntime> native_;
-  /// kSim backend only: the ExecutorMetrics -> TelemetrySnapshot adapter
-  /// bound to the backend's resource-control plane.
-  std::unique_ptr<exec::TelemetrySource> sim_telemetry_;
   std::unique_ptr<Runtime> runtime_;
   std::unique_ptr<DynamicScheduler> scheduler_;
   std::unique_ptr<RcController> rc_;

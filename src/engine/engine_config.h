@@ -61,7 +61,7 @@ struct NativeOptions {
   /// source executor.
   int workers_per_operator = 0;
   /// Worker-slot reservation per operator for runtime growth
-  /// (WorkerPool::GrowWorkers). 0 = auto: max(2 x initial workers, 16).
+  /// (NativeRuntime::GrowWorkers). 0 = auto: max(2 x initial workers, 16).
   /// Slots cost a few pointers each until grown into.
   int max_workers_per_operator = 0;
   /// Same-process shard-copy rate for migrations between worker threads

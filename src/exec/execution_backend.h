@@ -1,13 +1,14 @@
 // ExecutionBackend — the seam between the engine stack and whatever actually
-// executes it. Everything above this interface (runtime, network model,
-// migration engine, controllers, workloads) schedules deferred calls against
-// a virtual clock and never names a concrete runtime; everything below it is
-// one of two implementations:
+// executes it: a clock, deferred calls and run/stop. Everything above this
+// interface (runtime, network model, migration engine, controllers,
+// workloads) schedules deferred calls against a virtual clock and never
+// names a concrete runtime; everything below it is one of two
+// implementations:
 //
-//  * SimBackend (exec/sim_backend.h) — wraps the single-threaded
-//    discrete-event simulator. The default: byte-for-byte deterministic, all
-//    tests and figure benches run here. Virtual time advances only when
-//    events fire.
+//  * SimBackend (exec/sim_backend.h) — the single-threaded discrete-event
+//    loop, owning its event queue. The default: byte-for-byte
+//    deterministic, all tests and figure benches run here. Virtual time
+//    advances only when events fire.
 //
 //  * NativeBackend (exec/native_backend.h) — a monotonic-clock time source
 //    plus a thread-safe timer queue. Paired with NativeRuntime
@@ -15,29 +16,25 @@
 //    with bounded MPSC channels between them. Virtual time IS wall time
 //    (ns since backend construction).
 //
-// The interface is exactly the scheduling surface the engine stack used to
-// take from Simulator*: virtual clock (now), deferred calls (At/After/
-// Cancel/Periodic), and the run/stop lifecycle (RunUntil/Stop). EventFn is
+// The interface is the virtual clock (now), deferred calls (At/After/
+// Cancel/Periodic) and the run/stop lifecycle (RunUntil/Stop). EventFn is
 // the callback currency on both sides, so the inline-storage/no-allocation
 // property of the hot path is backend-independent.
 //
-// Determinism contract: under SimBackend every call forwards 1:1 to the
-// simulator the engine used to own — same event ordering, same event ids,
-// same events_executed() — so results are byte-identical to the
-// pre-seam engine. Under NativeBackend, deferred calls run on the driver
-// thread (the thread inside RunUntil), never concurrently with each other;
-// At/After/Cancel may be called from any thread.
-// Resource-control plane: beyond scheduling, the backend is the seam through
-// which controllers *measure* and *actuate* the execution
-// (exec/telemetry.h, exec/worker_pool.h). The concrete runtime registers
-// itself via BindResourcePlane; SampleTelemetry()/worker_pool() are then
-// backend-independent — the balancer consumes wall-busy load the same way
-// whether a simulator or a thread pool produced it.
+// Determinism contract: under SimBackend events fire in (time, schedule
+// order) with deterministic ids and events_executed(), so results are
+// byte-identical across runs. Under NativeBackend, deferred calls run on the
+// driver thread (the thread inside RunUntil), never concurrently with each
+// other; At/After/Cancel may be called from any thread.
+//
+// Measuring and resizing the execution is not part of this seam: the Engine
+// serves Engine::SampleTelemetry() (exec/telemetry.h) on both backends and
+// exposes the native runtime, whose GrowWorkers/ShrinkWorkers resize a
+// thread pool, through Engine::native().
 #pragma once
 
 #include <functional>
 
-#include "exec/telemetry.h"
 #include "sim/event_fn.h"
 #include "sim/time.h"
 
@@ -53,8 +50,6 @@ enum class BackendKind {
 };
 
 const char* BackendKindName(BackendKind kind);
-
-class WorkerPool;  // exec/worker_pool.h
 
 class ExecutionBackend {
  public:
@@ -107,32 +102,6 @@ class ExecutionBackend {
   /// than one of its constant-delay lanes (perf counters). 0 on backends
   /// without that split.
   virtual uint64_t heap_events() const { return 0; }
-
-  // ---- Resource-control plane ----
-  /// Registers the measurement and actuation surfaces of the concrete
-  /// execution (Engine calls this during Setup: the native runtime binds
-  /// itself for both; the sim binds the engine's ExecutorMetrics adapter
-  /// and no pool — AddCore/RemoveCore is the simulated actuation path).
-  /// Either pointer may be null; the backend does not own them.
-  void BindResourcePlane(TelemetrySource* telemetry, WorkerPool* pool) {
-    telemetry_ = telemetry;
-    worker_pool_ = pool;
-  }
-
-  /// A point-in-time sample of the execution (exec/telemetry.h documents
-  /// the liveness contract). Empty snapshot when nothing is bound yet.
-  TelemetrySnapshot SampleTelemetry() const {
-    return telemetry_ != nullptr ? telemetry_->SampleTelemetry()
-                                 : TelemetrySnapshot{};
-  }
-
-  /// Runtime worker scaling (exec/worker_pool.h); null when the backend
-  /// cannot actuate thread counts (kSim).
-  WorkerPool* worker_pool() const { return worker_pool_; }
-
- private:
-  TelemetrySource* telemetry_ = nullptr;
-  WorkerPool* worker_pool_ = nullptr;
 };
 
 }  // namespace exec

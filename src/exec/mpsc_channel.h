@@ -147,7 +147,7 @@ class alignas(64) MpscChannel {
     return ring_.empty() && (producers_open_ == 0 || aborted_);
   }
 
-  /// A new producer joins a live channel (WorkerPool::GrowWorkers wires a
+  /// A new producer joins a live channel (NativeRuntime::GrowWorkers wires a
   /// grown worker into every downstream channel). Only legal while at least
   /// one producer is still open: once the last producer closed, the
   /// consumer may already have observed exhaustion and exited.

@@ -61,8 +61,8 @@
 // thread (the driver's timer wheel under paced copy) and the old owner
 // could read a raised `held` next to a not yet flipped `owner`.
 //
-// Resource-control plane (exec/telemetry.h + exec/worker_pool.h; the
-// runtime implements both and Engine binds them to the backend):
+// Resource-control plane (Engine::SampleTelemetry() serves the first half;
+// callers reach the second through Engine::native()):
 //
 // * Measurement. Every worker accumulates *measured wall-busy* cycle-clock
 //   deltas per tuple, thread-locally (see TupleClock: one CycleClock read
@@ -133,21 +133,20 @@
 #include "exec/mpsc_channel.h"
 #include "exec/native_backend.h"
 #include "exec/telemetry.h"
-#include "exec/worker_pool.h"
 #include "state/migration_engine.h"
 #include "state/state_store.h"
 
 namespace elasticutor {
 namespace exec {
 
-class NativeRuntime : public TelemetrySource, public WorkerPool {
+class NativeRuntime {
  public:
   /// `migration` may be null for the static paradigm; the elastic paradigm
   /// requires it (checked in Setup).
   NativeRuntime(const Topology* topology, const EngineConfig* config,
                 NativeBackend* backend, MigrationEngine* migration,
                 EngineMetrics* metrics);
-  ~NativeRuntime() override;
+  ~NativeRuntime();
 
   NativeRuntime(const NativeRuntime&) = delete;
   NativeRuntime& operator=(const NativeRuntime&) = delete;
@@ -178,19 +177,22 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
   /// Live point-in-time sample (see the liveness contract above and in
   /// exec/telemetry.h). Lock-free counter reads plus one ctrl_mu_ hold for
   /// the lifecycle flags and measured speeds.
-  TelemetrySnapshot SampleTelemetry() const override;
+  TelemetrySnapshot SampleTelemetry() const;
 
   /// Adds `n` worker threads to `op` at runtime (elastic paradigm, after
   /// Start, while some producer is still open, within the operator's slot
   /// reservation). The new workers start shard-less; the balancer or the
   /// caller moves load onto them.
-  Status GrowWorkers(OperatorId op, int n) override;
+  Status GrowWorkers(OperatorId op, int n);
 
   /// Retires the `n` highest-index active workers of `op` by evacuating
   /// every shard they own over the labeling-barrier protocol; each victim
   /// thread exits only after its last shard's drain finalized (the native
-  /// RemoveCore). Asynchronous: returns once the evacuation is underway.
-  Status ShrinkWorkers(OperatorId op, int n) override;
+  /// RemoveCore). Retiring workers are rejected as move destinations from
+  /// the moment the call returns. Asynchronous: returns once the evacuation
+  /// is underway. Fails under the static paradigm and when fewer than n+1
+  /// active workers remain (the pool never shrinks to zero).
+  Status ShrinkWorkers(OperatorId op, int n);
 
   // ---- Elasticity (driver thread; elastic paradigm only) ----
   /// Initiates the consistent live reassignment of `shard` of operator
@@ -223,8 +225,9 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
   /// Batches ever heap-allocated by the pool (flat in steady state).
   int64_t batches_allocated() const { return pool_.allocated(); }
 
-  /// Live worker-slot count (grown slots included). WorkerPool override.
-  int num_workers(OperatorId op) const override;
+  /// Live worker-slot count (grown slots included; retiring workers count
+  /// until their threads exit).
+  int num_workers(OperatorId op) const;
   int num_shards(OperatorId op) const;
   /// Shard a key hashes to (the same two-tier mapping producers use;
   /// benches derive skew sets from it).

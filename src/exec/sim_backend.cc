@@ -1,22 +1,23 @@
-#include "sim/simulator.h"
+#include "exec/sim_backend.h"
 
 #include <memory>
 
 #include "common/status.h"
 
 namespace elasticutor {
+namespace exec {
 
-EventId Simulator::At(SimTime at, EventFn&& fn) {
+EventId SimBackend::At(SimTime at, EventFn fn) {
   ELASTICUTOR_CHECK_MSG(at >= now_, "scheduling into the past");
   return queue_.Push(at, std::move(fn));
 }
 
-EventId Simulator::After(SimDuration delay, EventFn&& fn) {
+EventId SimBackend::After(SimDuration delay, EventFn fn) {
   if (delay < 0) delay = 0;
   return queue_.Push(now_ + delay, std::move(fn));
 }
 
-uint64_t Simulator::RunUntil(SimTime until) {
+uint64_t SimBackend::RunUntil(SimTime until) {
   uint64_t executed = 0;
   EventQueue::Ready ready;
   while (queue_.Next(until, &ready)) {
@@ -29,12 +30,12 @@ uint64_t Simulator::RunUntil(SimTime until) {
   return executed;
 }
 
-void Simulator::Periodic(SimTime start, SimDuration period,
-                         std::function<bool(SimTime)> fn) {
+void SimBackend::Periodic(SimTime start, SimDuration period,
+                          std::function<bool(SimTime)> fn) {
   ELASTICUTOR_CHECK_MSG(period > 0, "periodic period must be positive");
-  // The simulator owns periodic tasks; each tick closure holds only a raw
+  // The backend owns periodic tasks; each tick closure holds only a raw
   // pointer (16 bytes — always inline in EventFn). Tasks live until the
-  // simulator dies.
+  // backend dies.
   auto task = std::make_unique<PeriodicTask>();
   task->fn = std::move(fn);
   task->period = period;
@@ -43,10 +44,11 @@ void Simulator::Periodic(SimTime start, SimDuration period,
   At(start, [this, raw]() { PeriodicTick(raw); });
 }
 
-void Simulator::PeriodicTick(PeriodicTask* task) {
+void SimBackend::PeriodicTick(PeriodicTask* task) {
   if (task->fn(now_)) {
     After(task->period, [this, task]() { PeriodicTick(task); });
   }
 }
 
+}  // namespace exec
 }  // namespace elasticutor

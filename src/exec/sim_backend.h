@@ -1,58 +1,68 @@
-// SimBackend — the default ExecutionBackend: a 1:1 wrapper over the
-// single-threaded discrete-event Simulator. Every call forwards directly, so
-// engines running on this backend are byte-for-byte identical to the
-// pre-seam engine (same event ordering, ids, and events_executed counts);
-// the determinism regressions in tests/batching_test.cc pin this down.
-//
-// This header is one of the two places allowed to include sim/simulator.h
-// (the other being src/sim/ itself): the simulator type stops leaking into
-// the engine stack at this seam.
+// SimBackend — the default ExecutionBackend: the single-threaded
+// deterministic discrete-event loop. All components of the simulated
+// cluster (NICs, tasks, schedulers, spouts) schedule callbacks here;
+// RunUntil() drives virtual time forward. Events fire in (time, schedule
+// order), so two runs with the same seed execute the same events in the same
+// order with the same ids; the determinism regressions in
+// tests/batching_test.cc pin this down.
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <vector>
 
 #include "exec/execution_backend.h"
-#include "sim/simulator.h"
+#include "sim/event_queue.h"
 
 namespace elasticutor {
 namespace exec {
 
 class SimBackend final : public ExecutionBackend {
  public:
-  SimBackend() : sim_(std::make_unique<Simulator>()) {}
+  SimBackend() = default;
 
   BackendKind kind() const override { return BackendKind::kSim; }
 
-  SimTime now() const override { return sim_->now(); }
+  SimTime now() const override { return now_; }
 
-  EventId At(SimTime at, EventFn fn) override {
-    return sim_->At(at, std::move(fn));
-  }
+  /// Schedules fn at absolute time `at` (must be >= now). The callback is
+  /// moved once, into its queue slot, and later runs there.
+  EventId At(SimTime at, EventFn fn) override;
 
-  EventId After(SimDuration delay, EventFn fn) override {
-    return sim_->After(delay, std::move(fn));
-  }
+  /// Schedules fn after `delay` ns (clamped at >= 0).
+  EventId After(SimDuration delay, EventFn fn) override;
 
-  bool Cancel(EventId id) override { return sim_->Cancel(id); }
+  bool Cancel(EventId id) override { return queue_.Cancel(id); }
 
   void Periodic(SimTime start, SimDuration period,
-                std::function<bool(SimTime)> fn) override {
-    sim_->Periodic(start, period, std::move(fn));
-  }
+                std::function<bool(SimTime)> fn) override;
 
-  uint64_t RunUntil(SimTime until) override { return sim_->RunUntil(until); }
+  /// Runs until the event queue is drained or `until` is reached, whichever
+  /// comes first. Events exactly at `until` are executed. Returns the number
+  /// of events executed.
+  uint64_t RunUntil(SimTime until) override;
 
   /// Drains all events (tests; periodic processes never drain).
-  uint64_t RunAll() { return sim_->RunAll(); }
+  uint64_t RunAll() { return RunUntil(kSimTimeMax); }
 
-  uint64_t events_executed() const override {
-    return sim_->events_executed();
-  }
+  uint64_t events_executed() const override { return events_executed_; }
 
-  uint64_t heap_events() const override { return sim_->heap_events(); }
+  /// Events scheduled through the event heap rather than a constant-delay
+  /// lane (sim/event_queue.h), since construction.
+  uint64_t heap_events() const override { return queue_.heap_pushes(); }
 
  private:
-  std::unique_ptr<Simulator> sim_;
+  struct PeriodicTask {
+    std::function<bool(SimTime)> fn;
+    SimDuration period = 0;
+  };
+
+  void PeriodicTick(PeriodicTask* task);
+
+  EventQueue queue_;
+  SimTime now_ = 0;
+  uint64_t events_executed_ = 0;
+  std::vector<std::unique_ptr<PeriodicTask>> periodic_tasks_;
 };
 
 }  // namespace exec

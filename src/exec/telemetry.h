@@ -1,9 +1,9 @@
-// Resource-control plane, measurement half: TelemetrySnapshot is the one
-// introspection surface of an execution backend. It replaces three ad-hoc
-// surfaces that grew independently (NativeRuntime's aggregate accessors,
-// EngineMetrics' busy counters, ElasticExecutor::TaskSpeedOn) with a single
-// structured sample a balancer or controller can consume without knowing
-// which backend produced it.
+// TelemetrySnapshot is the one introspection surface of an execution: a
+// single structured sample a balancer or controller can consume without
+// knowing which backend produced it. Engine::SampleTelemetry() serves it on
+// both backends: NativeRuntime::SampleTelemetry() reads the worker threads'
+// counters, and on the simulator the engine walks every executor's
+// ExecutorMetrics (one row per executor, no shard rows).
 //
 // The load signal is *measured wall-busy time*, not processed counts: the
 // paper's executor-level load model (§4) weighs tasks by the CPU they
@@ -159,15 +159,6 @@ struct TelemetrySnapshot {
   int64_t push_blocks = 0;
   int64_t pop_waits = 0;
   int64_t batches_pushed = 0;
-};
-
-/// Implemented by whatever can be measured: NativeRuntime (lock-free counter
-/// reads) and the engine's simulator adapter (ExecutorMetrics walk). Bound
-/// to the backend via ExecutionBackend::BindResourcePlane.
-class TelemetrySource {
- public:
-  virtual ~TelemetrySource() = default;
-  virtual TelemetrySnapshot SampleTelemetry() const = 0;
 };
 
 }  // namespace exec

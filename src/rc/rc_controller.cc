@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <utility>
 
 #include "state/migration_engine.h"
@@ -53,17 +52,6 @@ void RcController::Start() {
 
 void RcController::MeasureInterval(SimDuration dt) {
   double dt_s = std::max(ToSeconds(dt), 1e-6);
-  // µ estimation reads the backend's unified telemetry (exec/telemetry.h)
-  // rather than walking ExecutorMetrics: same numbers under the sim
-  // adapter, but the controller no longer assumes a simulated executor
-  // behind each worker row. Arrivals/queue depths stay on the executor walk
-  // (instantaneous queue state is not part of the snapshot).
-  const exec::TelemetrySnapshot snap = rt_->exec()->SampleTelemetry();
-  std::map<OperatorId, std::pair<int64_t, int64_t>> proc_busy;
-  for (const auto& w : snap.workers) {
-    proc_busy[w.op].first += w.processed;
-    proc_busy[w.op].second += w.busy_ns;
-  }
   for (auto& s : ops_) {
     // Per-shard offered load over this interval.
     const auto& routed = rt_->partition(s.op)->offered();
@@ -77,14 +65,13 @@ void RcController::MeasureInterval(SimDuration dt) {
       s.prev_routed[i] = routed[i];
     }
 
-    int64_t arrivals = 0, queued = 0;
+    int64_t arrivals = 0, queued = 0, processed = 0, busy = 0;
     for (const auto& ex : rt_->executors(s.op)) {
       arrivals += ex->metrics().arrivals;
       queued += ex->queued();
+      processed += ex->metrics().processed;
+      busy += ex->metrics().busy_ns;
     }
-    const auto pb = proc_busy.find(s.op);
-    const int64_t processed = pb != proc_busy.end() ? pb->second.first : 0;
-    const int64_t busy = pb != proc_busy.end() ? pb->second.second : 0;
     int64_t d_arr = std::max<int64_t>(0, arrivals - s.prev_arrivals);
     int64_t d_proc = std::max<int64_t>(0, processed - s.prev_processed);
     int64_t d_busy = std::max<int64_t>(0, busy - s.prev_busy_ns);

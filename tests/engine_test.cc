@@ -180,11 +180,31 @@ INSTANTIATE_TEST_SUITE_P(AllParadigms, MicroEngineTest,
                                            Paradigm::kResourceCentric,
                                            Paradigm::kElastic));
 
-TEST(EngineTest, SimBackendServesTelemetryAndHasNoWorkerPool) {
-  // The resource-control plane is backend-independent on the measurement
-  // side only: the sim adapter fills WorkerTelemetry from ExecutorMetrics,
-  // while actuation (worker_pool) is native-only — simulated scaling is
-  // AddCore/RemoveCore on the elastic executors.
+TEST(EngineTest, SampleTelemetryBeforeSetupIsEmpty) {
+  for (exec::BackendKind backend :
+       {exec::BackendKind::kSim, exec::BackendKind::kNative}) {
+    auto workload = BuildMicroWorkload(MicroOptions{}, 3);
+    EngineConfig config;
+    config.backend = backend;
+    Engine engine(workload->topology, config);
+    const exec::TelemetrySnapshot snap = engine.SampleTelemetry();
+    SCOPED_TRACE(exec::BackendKindName(backend));
+    EXPECT_TRUE(snap.workers.empty());
+    EXPECT_TRUE(snap.shards.empty());
+    EXPECT_TRUE(snap.sources.empty());
+    EXPECT_EQ(snap.total_processed, 0);
+    EXPECT_EQ(snap.sink_count, 0);
+    EXPECT_EQ(snap.source_emitted, 0);
+    EXPECT_EQ(snap.total_busy_ns, 0);
+    EXPECT_EQ(snap.reassignments_done, 0);
+    EXPECT_EQ(snap.migrations_in_flight, 0);
+  }
+}
+
+TEST(EngineTest, SimBackendServesTelemetryAndHasNoNativeRuntime) {
+  // Measurement is backend-independent: the sim fills WorkerTelemetry from
+  // ExecutorMetrics. Worker scaling is native-only (native() is null here);
+  // simulated scaling is AddCore/RemoveCore on the elastic executors.
   MicroOptions options;
   options.generator_executors = 2;
   options.calculator_executors = 4;
@@ -196,7 +216,7 @@ TEST(EngineTest, SimBackendServesTelemetryAndHasNoWorkerPool) {
   config.cores_per_node = 4;
   Engine engine(workload->topology, config);
   ASSERT_TRUE(engine.Setup().ok());
-  EXPECT_EQ(engine.worker_pool(), nullptr);
+  EXPECT_EQ(engine.native(), nullptr);
   engine.Start();
   engine.RunFor(Seconds(2));
 

@@ -749,15 +749,5 @@ TEST(NativeTelemetryTest, AnchoredSinkLatencyMatchesSteadyClock) {
   EXPECT_NEAR(latency.mean(), logic_mean, 3000.0);
 }
 
-TEST(ExecutionBackendTest, UnboundResourcePlaneYieldsEmptySnapshot) {
-  NativeBackend backend;
-  EXPECT_EQ(backend.worker_pool(), nullptr);
-  const exec::TelemetrySnapshot snap = backend.SampleTelemetry();
-  EXPECT_TRUE(snap.workers.empty());
-  EXPECT_TRUE(snap.shards.empty());
-  EXPECT_TRUE(snap.sources.empty());
-  EXPECT_EQ(snap.total_processed, 0);
-}
-
 }  // namespace
 }  // namespace elasticutor

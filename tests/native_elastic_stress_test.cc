@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -206,8 +207,6 @@ TEST(NativeElasticStressTest, WorkerScalingSoakConservesEveryTuple) {
   engine.Start();
 
   exec::NativeRuntime* native = engine.native();
-  exec::WorkerPool* pool = engine.worker_pool();
-  ASSERT_NE(pool, nullptr);
   const OperatorId calc = workload.calculator;
   const int shards = native->num_shards(calc);
   std::mt19937 rng(4321);
@@ -244,12 +243,12 @@ TEST(NativeElasticStressTest, WorkerScalingSoakConservesEveryTuple) {
       const bool can_shrink = actives > 3;
       const bool grow = grow_next ? can_grow : (can_shrink ? false : can_grow);
       if (grow) {
-        if (pool->GrowWorkers(calc, 1).ok()) {
+        if (native->GrowWorkers(calc, 1).ok()) {
           ++scale_ops;
           ++actives;
         }
       } else if (can_shrink) {
-        if (pool->ShrinkWorkers(calc, 1).ok()) {
+        if (native->ShrinkWorkers(calc, 1).ok()) {
           ++scale_ops;
           --actives;
         }
@@ -302,6 +301,62 @@ TEST(NativeElasticStressTest, WorkerScalingSoakConservesEveryTuple) {
     }
   }
   EXPECT_GT(grown_seen, 0);
+}
+
+TEST(NativeElasticStressTest, BalanceTickMovesSkewedShards) {
+  // The driver's balance tick on its own (BalanceTick -> UpdateWorkerSpeeds
+  // -> PlanMoves -> ReassignShard): about 90% of the tuples go to keys on
+  // shards worker 0 owns, and the test never calls ReassignShard itself,
+  // so every completed move was planned from measured wall-busy load.
+  constexpr int kWorkers = 3;
+  constexpr int kHotShards = 4;
+  MicroWorkload workload = BuildStressWorkload(/*seed=*/59);
+  auto hot = std::make_shared<std::vector<uint64_t>>();
+  workload.topology.mutable_spec(workload.generator).source.factory =
+      [hot](Rng* rng, SimTime) {
+        const auto n = static_cast<uint32_t>(hot->size());
+        Tuple t;
+        t.key = rng->NextBounded(10) < 9 ? (*hot)[rng->NextBounded(n)]
+                                         : rng->NextBounded(512);
+        t.size_bytes = 64;
+        return t;
+      };
+  EngineConfig config = StressConfig();
+  config.native.workers_per_operator = kWorkers;
+  config.native.balance.period_ns = Millis(10);
+  Engine engine(workload.topology, config);
+  ASSERT_TRUE(engine.Setup().ok());
+
+  // Hot keys on distinct shards that worker 0 routes at t=0 (filled before
+  // Start, so the source threads only ever read the vector).
+  exec::NativeRuntime* native = engine.native();
+  const OperatorId calc = workload.calculator;
+  std::vector<ShardId> used;
+  for (uint64_t key = 0; static_cast<int>(hot->size()) < kHotShards; ++key) {
+    ASSERT_LT(key, 1u << 20);
+    const ShardId s = native->shard_of_key(calc, key);
+    if (native->worker_of_shard(calc, s) != 0) continue;
+    if (std::find(used.begin(), used.end(), s) != used.end()) continue;
+    used.push_back(s);
+    hot->push_back(key);
+  }
+  engine.Start();
+
+  const auto hang = std::chrono::steady_clock::now() + std::chrono::minutes(2);
+  while (native->reassignments_done() < 1) {
+    ASSERT_LT(std::chrono::steady_clock::now(), hang)
+        << "the balance tick moved no shard";
+    engine.RunFor(Millis(20));
+  }
+  engine.StopSources();
+  engine.RunToCompletion();
+
+  const exec::TelemetrySnapshot drained = engine.SampleTelemetry();
+  EXPECT_GT(drained.source_emitted, 0);
+  EXPECT_EQ(drained.sink_count, drained.source_emitted);
+  EXPECT_EQ(engine.order_violations(), 0);
+  EXPECT_EQ(native->migrations_in_flight(), 0);
+  EXPECT_GE(native->reassignments_done(), 1);
 }
 
 TEST(NativeElasticStressTest, MovesAfterDrainAreRejected) {
@@ -357,32 +412,32 @@ TEST(NativeElasticStressTest, WorkerScalingErrorPaths) {
   config.native.max_workers_per_operator = 5;  // 4 initial + 1 spare slot.
   Engine engine(workload.topology, config);
   ASSERT_TRUE(engine.Setup().ok());
-  exec::WorkerPool* pool = engine.worker_pool();
-  ASSERT_NE(pool, nullptr);
+  exec::NativeRuntime* native = engine.native();
+  ASSERT_NE(native, nullptr);
   const OperatorId calc = workload.calculator;
 
   // Before Start: no threads to grow into or retire.
-  EXPECT_FALSE(pool->GrowWorkers(calc, 1).ok());
-  EXPECT_FALSE(pool->ShrinkWorkers(calc, 1).ok());
+  EXPECT_FALSE(native->GrowWorkers(calc, 1).ok());
+  EXPECT_FALSE(native->ShrinkWorkers(calc, 1).ok());
   engine.Start();
 
   // Bad arguments.
-  EXPECT_FALSE(pool->GrowWorkers(workload.generator, 1).ok());  // A source.
-  EXPECT_FALSE(pool->GrowWorkers(calc, 0).ok());
-  EXPECT_FALSE(pool->ShrinkWorkers(calc, -1).ok());
-  EXPECT_FALSE(pool->GrowWorkers(-1, 1).ok());
+  EXPECT_FALSE(native->GrowWorkers(workload.generator, 1).ok());  // A source.
+  EXPECT_FALSE(native->GrowWorkers(calc, 0).ok());
+  EXPECT_FALSE(native->ShrinkWorkers(calc, -1).ok());
+  EXPECT_FALSE(native->GrowWorkers(-1, 1).ok());
 
   // Slot reservation is a hard ceiling: one spare slot, so +2 is rejected
   // whole, +1 lands, then the pool is full.
-  EXPECT_FALSE(pool->GrowWorkers(calc, 2).ok());
-  ASSERT_TRUE(pool->GrowWorkers(calc, 1).ok());
-  EXPECT_EQ(pool->num_workers(calc), 5);
-  EXPECT_FALSE(pool->GrowWorkers(calc, 1).ok());
+  EXPECT_FALSE(native->GrowWorkers(calc, 2).ok());
+  ASSERT_TRUE(native->GrowWorkers(calc, 1).ok());
+  EXPECT_EQ(native->num_workers(calc), 5);
+  EXPECT_FALSE(native->GrowWorkers(calc, 1).ok());
 
   // The pool never shrinks to zero active workers.
-  EXPECT_FALSE(pool->ShrinkWorkers(calc, 5).ok());
-  ASSERT_TRUE(pool->ShrinkWorkers(calc, 4).ok());
-  EXPECT_FALSE(pool->ShrinkWorkers(calc, 1).ok());  // 1 active left.
+  EXPECT_FALSE(native->ShrinkWorkers(calc, 5).ok());
+  ASSERT_TRUE(native->ShrinkWorkers(calc, 4).ok());
+  EXPECT_FALSE(native->ShrinkWorkers(calc, 1).ok());  // 1 active left.
 
   // Stop only once tuples have reached the sink, so the conservation check
   // below covers data that crossed the evacuations.
@@ -409,7 +464,7 @@ TEST(NativeElasticStressTest, WorkerScalingErrorPaths) {
   }
 
   // After the drain every producer is closed; growth has nothing to route.
-  EXPECT_FALSE(pool->GrowWorkers(calc, 1).ok());
+  EXPECT_FALSE(native->GrowWorkers(calc, 1).ok());
 
   // Static paradigm: the pool surface exists but refuses (no routing table
   // to add destinations to).
@@ -421,9 +476,9 @@ TEST(NativeElasticStressTest, WorkerScalingErrorPaths) {
   ASSERT_TRUE(static_engine.Setup().ok());
   static_engine.Start();
   EXPECT_FALSE(
-      static_engine.worker_pool()->GrowWorkers(static_wl.calculator, 1).ok());
+      static_engine.native()->GrowWorkers(static_wl.calculator, 1).ok());
   EXPECT_FALSE(
-      static_engine.worker_pool()->ShrinkWorkers(static_wl.calculator, 1).ok());
+      static_engine.native()->ShrinkWorkers(static_wl.calculator, 1).ok());
   static_engine.RunToCompletion();
 }
 

@@ -507,12 +507,12 @@ TEST(NativeEquivalenceTest, PoolResizeKeepsPerKeyResultsBitIdentical) {
     const OperatorId calc = workload.calculator;
     if (run == 1) {
       engine.RunFor(Micros(300));
-      ASSERT_TRUE(engine.worker_pool()->GrowWorkers(calc, 2).ok());
+      ASSERT_TRUE(engine.native()->GrowWorkers(calc, 2).ok());
       ASSERT_EQ(native->num_workers(calc), 5);
       // Load the grown workers: rotate every shard across the wider pool
       // while the stream runs.
       ScriptNativeElasticMoves(&engine, calc, /*workers=*/5, /*rounds=*/3);
-      ASSERT_TRUE(engine.worker_pool()->ShrinkWorkers(calc, 2).ok());
+      ASSERT_TRUE(engine.native()->ShrinkWorkers(calc, 2).ok());
       engine.RunFor(Micros(300));
     }
     engine.RunToCompletion();
